@@ -25,7 +25,7 @@ from .curves import (
     is_periodic_curve,
     rational_intersection_points,
 )
-from .degrees import degree_sequence, is_algebraically_stable_P2, profile_to_json_dict
+from .degrees import degree_sequence, profile_to_json_dict, stability_verdict
 from .dml import (
     DEFAULT_BIT_GUARD,
     DEFAULT_CURVE_SEARCH_CAP,
@@ -119,7 +119,7 @@ def _rename_fn_vars(p) -> str:
 def _cmd_degrees(args) -> tuple[dict, dict, list[str]]:
     f = load_map(args.map)
     profile = degree_sequence(f, args.horizon)
-    verdict = is_algebraically_stable_P2(f, args.horizon)
+    verdict = stability_verdict(profile.degrees)
     config = {"map": args.map, "horizon": args.horizon}
     result = {
         "profile": profile_to_json_dict(profile),

@@ -6,13 +6,16 @@ operationally a certified periodic tail (membership a-periodic over a
 window of at least 3a).  When such a tail is certified the classifier
 hunts for the two admissible explanations, an exactly repeating orbit
 or a periodic curve, and only reports VIOLATION when both searches ran
-to completion and found nothing.  Guard-truncated data never produces
-a VIOLATION verdict; it is reported as undetermined with the guard on
-record.
+to completion and found nothing.  On a reducible curve the periodic
+curve may be a component: when the whole curve has no period, the
+components that carry a certified tail are searched.  Guard-truncated
+data never produces a VIOLATION verdict; it is reported as undetermined
+with the guard on record.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -216,7 +219,10 @@ class DmlReport:
     Invariant: verdict is VIOLATION only when a periodic visit tail is
     certified at the full horizon and both witness searches (exact
     orbit cycle, curve period up to max_period) ran to completion
-    without success.
+    without success; on a reducible curve the period search must also
+    have failed, uncapped, on a component carrying a certified tail.
+    A reducible curve's witness may be the lcm of the periods of those
+    components, a period of their union.
     """
 
     visit_set: tuple[int, ...]
@@ -267,6 +273,18 @@ def _curve_period_capped(
         set_degree_cap(saved)
 
 
+def _tail_components(
+    C: Curve, res: OrbitResult, visits: list[int], N: int
+) -> list[Curve]:
+    """Irreducible components of C whose own visits have a certified tail."""
+    out = []
+    for D in C.irreducible_components():
+        on_D = {n for n in visits if D.contains(res.point_at(n))}
+        if ap_decompose(on_D, N).progressions:
+            out.append(D)
+    return out
+
+
 def dml_classify(
     f: PolyMap,
     C: Curve,
@@ -311,6 +329,27 @@ def dml_classify(
             notes.append(
                 f"curve period search hit the degree cap before reaching K = {K}"
             )
+    no_tail_component = False
+    if (certified and pre_witness is None and curve_witness is None
+            and not curve_capped and not C.is_irreducible):
+        # e.g. a line pair whose one line has period 2 and carries every
+        # second point of the orbit: the pair itself has no period
+        tails = _tail_components(C, res, visits, N)
+        no_tail_component = not tails
+        if no_tail_component:
+            notes.append("no single component carries a certified visit tail")
+        for D in tails:
+            k, curve_capped = _curve_period_capped(D, f, K, curve_search_cap)
+            if k is None:
+                outcome = ("hit the degree cap" if curve_capped
+                           else f"found no period <= {K}")
+                notes.append(f"component {D} carries a certified visit tail; "
+                             f"its period search {outcome}")
+                curve_witness = None
+                break
+            notes.append(f"component {D} carries a certified visit tail "
+                         f"and has period {k}")
+            curve_witness = math.lcm(curve_witness or 1, k)
     if truncated:
         verdict = VERDICT_UNDETERMINED
     elif not certified:
@@ -319,7 +358,7 @@ def dml_classify(
         verdict = VERDICT_PREPERIODIC
     elif curve_witness is not None:
         verdict = VERDICT_CURVE_PERIODIC
-    elif curve_capped:
+    elif curve_capped or no_tail_component:
         verdict = VERDICT_UNDETERMINED
     else:
         verdict = VERDICT_VIOLATION

@@ -74,6 +74,13 @@ class TestDegrees:
         assert doc["result"]["profile"]["growth_class"] == "linear"
         assert doc["result"]["stability"] == "unstable_at(2)"
 
+    def test_horizon_one_is_domain_error(self, capsys, henon_file):
+        code = main(["degrees", "--map", henon_file, "--horizon", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "stability horizon must be at least 2" in captured.err
+
 
 class TestSmallCommands:
     def test_height(self, capsys):

@@ -1,5 +1,7 @@
 """Degree sequences under iteration, growth labels, stability checks."""
 
+import random
+
 import pytest
 
 from dmlwb.degrees import (
@@ -12,8 +14,10 @@ from dmlwb.degrees import (
     is_algebraically_stable_P2,
     profile_to_json_dict,
 )
-from dmlwb.maps import PolyMap
+from dmlwb.errors import DegreeCapError
+from dmlwb.maps import PolyMap, iterate_map
 from dmlwb.parsing import parse_poly
+from dmlwb.poly import Poly2, get_degree_cap, set_degree_cap
 
 
 def parse_map(f1: str, f2: str) -> PolyMap:
@@ -90,3 +94,139 @@ def test_inverse_not_required():
     f = parse_map("2*x", "x*y")
     prof = degree_sequence(f, 4)
     assert prof.degrees == (2, 3, 4, 5)
+
+
+def test_degree_cap_trips_at_first_degree_above_cap():
+    henon = parse_map("y", "y^2 - x")
+    saved = get_degree_cap()
+    set_degree_cap(64)
+    try:
+        assert degree_sequence(henon, 6).degrees == (2, 4, 8, 16, 32, 64)
+        with pytest.raises(DegreeCapError):
+            degree_sequence(henon, 7)
+    finally:
+        set_degree_cap(saved)
+
+
+def test_stability_rejects_short_horizon():
+    with pytest.raises(ValueError, match="stability horizon must be at least 2"):
+        is_algebraically_stable_P2(parse_map("y", "y^2 - x"), 1)
+
+
+# -- top-part degrees against full composition ---------------------------------
+
+def _homogeneous(rng, d: int) -> dict:
+    return {(i, d - i): rng.randint(-2, 2) for i in range(d + 1)}
+
+
+def _lower(rng, d: int) -> dict:
+    return {(i, j): rng.randint(-2, 2) for i in range(d) for j in range(d - i)}
+
+
+def _nonzero(rng) -> int:
+    return rng.choice([-2, -1, 1, 2])
+
+
+def _henon(rng):
+    k = rng.choice([2, 3])
+    return {(0, 1): 1}, {(0, k): 1, (1, 0): _nonzero(rng), (0, 0): rng.randint(-2, 2)}
+
+
+def _triangular(rng):
+    dA, dB = rng.randint(0, 3), rng.randint(1, 4)
+    f2 = {(i, 1): rng.randint(-2, 2) for i in range(dA)}
+    f2[(dA, 1)] = _nonzero(rng)
+    f2.update({(i, 0): rng.randint(-2, 2) for i in range(dB)})
+    f2[(dB, 0)] = _nonzero(rng)
+    return {(1, 0): _nonzero(rng), (0, 0): rng.randint(-2, 2)}, f2
+
+
+def _quadratic(rng):
+    return (
+        {(2, 0): 1, (0, 1): _nonzero(rng), (0, 0): rng.randint(-2, 2)},
+        {(1, 1): _nonzero(rng), (0, 0): rng.randint(-2, 2)},
+    )
+
+
+def _elementary(rng):
+    deg = rng.randint(2, 4)
+    f1 = {(0, j): rng.randint(-2, 2) for j in range(deg)}
+    f1[(0, deg)] = _nonzero(rng)
+    f1[(1, 0)] = 1
+    return f1, {(0, 1): 1}
+
+
+def _affine(rng):
+    # the linear part is nilpotent one time in three
+    if rng.random() < 1 / 3:
+        return {(0, 1): _nonzero(rng), (0, 0): 1}, {(0, 0): rng.randint(-2, 2)}
+    return _lower(rng, 2), _lower(rng, 2)
+
+
+def _constant_direction(rng, stable: bool):
+    # top part P*(a, b) with P homogeneous of degree d; f contracts the
+    # line at infinity to [a:b:0], and f^2 drops in degree iff P(a, b) = 0
+    d = rng.choice([2, 3])
+    a, b = _nonzero(rng), rng.randint(-2, 2)
+    while True:
+        if stable:
+            P = _homogeneous(rng, d)
+        else:
+            q = _homogeneous(rng, d - 1)
+            P = {}
+            for (i, j), c in q.items():  # P = (b*x - a*y) * q
+                P[(i + 1, j)] = P.get((i + 1, j), 0) + b * c
+                P[(i, j + 1)] = P.get((i, j + 1), 0) - a * c
+        value = sum(c * a**i * b**j for (i, j), c in P.items())
+        if any(P.values()) and (value != 0) == stable:
+            break
+    f1 = {k: a * c for k, c in P.items()}
+    f2 = {k: b * c for k, c in P.items()}
+    for part in (f1, f2):
+        for k, c in _lower(rng, d).items():
+            part[k] = part.get(k, 0) + c
+    return f1, f2
+
+
+FAMILIES = {
+    "henon": _henon,
+    "triangular": _triangular,
+    "quadratic": _quadratic,
+    "elementary": _elementary,
+    "affine": _affine,
+    "direction_stable": lambda rng: _constant_direction(rng, True),
+    "direction_unstable": lambda rng: _constant_direction(rng, False),
+}
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:  # some affine iterates are constant maps
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_top_part_degrees_match_full_iterates(family):
+    rng = random.Random(f"degrees:{family}")
+    for _ in range(4):
+        f1, f2 = FAMILIES[family](rng)
+        f = PolyMap(Poly2.from_terms(f1), Poly2.from_terms(f2))
+        d = f.algebraic_degree()
+        N = 2  # the largest horizon <= 5 with deg f^N <= 32
+        while N < 5 and d ** (N + 1) <= 32:
+            N += 1
+        full = _outcome(
+            lambda: tuple(iterate_map(f, n).algebraic_degree() for n in range(1, N + 1))
+        )
+        assert _outcome(lambda: degree_sequence(f, N).degrees) == full, f
+        if isinstance(full, str):
+            expected = full
+        else:
+            drop = next((n for n, dn in enumerate(full, 1) if dn < d**n), None)
+            expected = f"stable_up_to_{N}" if drop is None else f"unstable_at({drop})"
+        assert _outcome(lambda: str(is_algebraically_stable_P2(f, N))) == expected, f
+        if family == "direction_stable":
+            assert expected == f"stable_up_to_{N}", f
+        if family == "direction_unstable":
+            assert expected == "unstable_at(2)", f

@@ -247,6 +247,23 @@ class TestDmlClassify:
         assert rep.verdict == "dichotomy_confirmed_curve_periodic"
         assert rep.curve_period_witness == 1
 
+    def test_reducible_curve_with_periodic_component(self):
+        # x alternates 0, 2: the line x = 0 has period 2 and carries every
+        # second point, while the pair x*y has no period at all
+        rep = dml_classify(
+            pmap("-x + 2", "2*x*y - 2*y - 2"),
+            curve("x*y"),
+            point(0, -4),
+            N=200,
+            K=12,
+            bit_guard=5 * 10**4,
+        )
+        assert rep.verdict == "dichotomy_confirmed_curve_periodic"
+        assert rep.curve_period_witness == 2
+        assert rep.ap.progressions == ((2, 0),)
+        assert rep.preperiodic_witness is None
+        assert not rep.curve_search_capped
+
     def test_heights_follow_visits(self):
         rep = dml_classify(pmap("x + 1", "-y"), curve("y - 1"), point(0, 1), N=6)
         assert len(rep.height_trace) == len(rep.visit_set)
