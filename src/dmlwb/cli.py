@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -98,6 +97,23 @@ def _envelope(command: str, config: dict, result) -> dict:
     }
 
 
+def _config(args, *names: str) -> dict:
+    """The envelope's config block: the named args in JSON form.
+
+    Points become [x, y] string pairs; values that are neither int nor
+    str (curves, places, rationals) become their strings.
+    """
+    config = {}
+    for name in names:
+        value = getattr(args, name)
+        if isinstance(value, Point):
+            value = [str(value.x), str(value.y)]
+        elif not isinstance(value, (int, str)):
+            value = str(value)
+        config[name] = value
+    return config
+
+
 def _emit(doc: dict, out: Optional[str], summary: list[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
@@ -120,7 +136,7 @@ def _cmd_degrees(args) -> tuple[dict, dict, list[str]]:
     f = load_map(args.map)
     profile = degree_sequence(f, args.horizon)
     verdict = stability_verdict(profile.degrees)
-    config = {"map": args.map, "horizon": args.horizon}
+    config = _config(args, "map", "horizon")
     result = {
         "profile": profile_to_json_dict(profile),
         "stability": str(verdict),
@@ -138,20 +154,15 @@ def _cmd_degrees(args) -> tuple[dict, dict, list[str]]:
 def _cmd_height(args) -> tuple[dict, dict, list[str]]:
     p = args.point
     h = height_affine(p)
-    config = {"point": [str(p.x), str(p.y)]}
-    result = {"point": [str(p.x), str(p.y)], "height": h}
+    config = _config(args, "point")
+    result = {"point": config["point"], "height": h}
     return config, result, [f"H({p.x}, {p.y}) = {h}"]
 
 
 def _cmd_northcott(args) -> tuple[dict, dict, list[str]]:
     points = northcott_enumerate(args.bound, args.dim)
-    config = {"bound": args.bound, "dim": args.dim}
-    result = {
-        "bound": args.bound,
-        "dim": args.dim,
-        "count": len(points),
-        "points": [str(pt) for pt in points],
-    }
+    config = _config(args, "bound", "dim")
+    result = dict(config, count=len(points), points=[str(pt) for pt in points])
     return config, result, [
         f"{len(points)} projective points of height <= {args.bound} in dimension {args.dim}"
     ]
@@ -163,8 +174,8 @@ def _cmd_product_check(args) -> tuple[dict, dict, list[str]]:
     breakdown = [
         {"place": str(v), "abs": str(abs_value(x, v))} for v in relevant_places(x)
     ]
-    config = {"value": str(x)}
-    result = {"value": str(x), "product_is_one": ok, "places": breakdown}
+    config = _config(args, "value")
+    result = {"value": config["value"], "product_is_one": ok, "places": breakdown}
     return config, result, [f"product formula for {x}: {'holds' if ok else 'FAILS'}"]
 
 
@@ -186,14 +197,7 @@ def _cmd_basin(args) -> tuple[dict, dict, list[str]]:
     else:
         raise UsageError("--model must be fn:auto, fn:<n>, or p2")
     report = basin_probe(model, args.point, target, args.place, args.horizon, args.eps)
-    config = {
-        "map": args.map,
-        "model": args.model,
-        "point": [str(args.point.x), str(args.point.y)],
-        "place": str(args.place),
-        "eps": str(args.eps),
-        "horizon": args.horizon,
-    }
+    config = _config(args, "map", "model", "point", "place", "eps", "horizon")
     summary = [str(report)]
     summary.extend(report.notes)
     return config, report.to_json_dict(), summary
@@ -229,7 +233,7 @@ def _cmd_fn_model(args) -> tuple[dict, dict, list[str]]:
     else:
         result["indeterminacy"] = None
         result["contraction_check"] = None
-    config = {"map": args.map, "n": args.n}
+    config = _config(args, "map", "n")
     summary = [
         f"model on F_{model.n} (threshold {model.threshold}, "
         f"{'stable' if model.is_stable else 'NOT stable'})",
@@ -250,13 +254,9 @@ def _cmd_fn_model(args) -> tuple[dict, dict, list[str]]:
 def _cmd_curve_period(args) -> tuple[dict, dict, list[str]]:
     f = load_map(args.map)
     period = is_periodic_curve(args.curve, f, args.max_period)
-    config = {
-        "map": args.map,
-        "curve": str(args.curve),
-        "max_period": args.max_period,
-    }
+    config = _config(args, "map", "curve", "max_period")
     result = {
-        "curve": str(args.curve),
+        "curve": config["curve"],
         "period": period,
         "max_period": args.max_period,
         "is_fixed": period == 1,
@@ -270,11 +270,7 @@ def _cmd_curve_period(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_intersect(args) -> tuple[dict, dict, list[str]]:
     mult = intersection_multiplicity(args.c1, args.c2, args.at)
-    config = {
-        "c1": str(args.c1),
-        "c2": str(args.c2),
-        "at": [str(args.at.x), str(args.at.y)],
-    }
+    config = _config(args, "c1", "c2", "at")
     result = dict(config)
     result["multiplicity"] = "infinity" if mult == float("inf") else mult
     if args.all_points:
@@ -295,14 +291,9 @@ def _cmd_dml_scan(args) -> tuple[dict, dict, list[str]]:
         K=args.max_period,
         bit_guard=args.bit_guard,
     )
-    config = {
-        "map": args.map,
-        "curve": str(args.curve),
-        "point": [str(args.point.x), str(args.point.y)],
-        "horizon": args.horizon,
-        "max_period": args.max_period,
-        "bit_guard": args.bit_guard,
-    }
+    config = _config(
+        args, "map", "curve", "point", "horizon", "max_period", "bit_guard"
+    )
     summary = [
         f"verdict: {report.verdict}",
         f"visit set has {len(report.visit_set)} entries; "
@@ -390,30 +381,25 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             load_map(path_)
         except Exception as exc:
             raise UsageError(f"--config: bad map file {path_}: {exc}") from exc
-    for expr in cfg.curves:
-        try:
-            Curve.from_string(expr)
-        except Exception as exc:
-            raise UsageError(f"--config: bad curve {expr!r}: {exc}") from exc
-    for text in cfg.points:
-        try:
-            parse_point(text)
-        except Exception as exc:
-            raise UsageError(f"--config: bad point {text!r}: {exc}") from exc
-    for text in cfg.places:
-        try:
-            Place.parse(text)
-        except Exception as exc:
-            raise UsageError(f"--config: bad place {text!r}: {exc}") from exc
-    for name, value in (("N", cfg.N), ("K", cfg.K), ("M", cfg.M)):
-        if not isinstance(value, int) or value <= 0:
-            raise UsageError(f"--config: horizon {name} must be a positive integer")
-    for name, value in (
-        ("bit_guard", cfg.bit_guard),
-        ("curve_search_cap", cfg.curve_search_cap),
+    for kind, texts, parse in (
+        ("curve", cfg.curves, Curve.from_string),
+        ("point", cfg.points, parse_point),
+        ("place", cfg.places, Place.parse),
+    ):
+        for text in texts:
+            try:
+                parse(text)
+            except Exception as exc:
+                raise UsageError(f"--config: bad {kind} {text!r}: {exc}") from exc
+    for kind, name, value in (
+        ("horizon", "N", cfg.N),
+        ("horizon", "K", cfg.K),
+        ("horizon", "M", cfg.M),
+        ("guard", "bit_guard", cfg.bit_guard),
+        ("guard", "curve_search_cap", cfg.curve_search_cap),
     ):
         if not isinstance(value, int) or value <= 0:
-            raise UsageError(f"--config: guard {name} must be a positive integer")
+            raise UsageError(f"--config: {kind} {name} must be a positive integer")
     return cfg
 
 
@@ -448,9 +434,12 @@ def _batch_item(cfg: ExperimentConfig, loaded, item) -> dict:
     return report
 
 
-def run_batch(cfg: ExperimentConfig, jobs: int = 1) -> dict:
-    """Run the cross product; output ordering follows input indices
-    regardless of execution interleaving."""
+def run_batch(cfg: ExperimentConfig) -> list[dict]:
+    """Run the cross product item by item, in input order.
+
+    Items run serially in this process: the work is pure-Python exact
+    arithmetic, so threads would only interleave under the GIL.
+    """
     loaded = {
         "maps": [load_map(p) for p in cfg.maps],
         "curves": [Curve.from_string(s) for s in cfg.curves],
@@ -464,36 +453,30 @@ def run_batch(cfg: ExperimentConfig, jobs: int = 1) -> dict:
         for i_p in range(len(cfg.points))
         for i_v in range(len(cfg.places))
     ]
-    if jobs <= 1 or len(items) <= 1:
-        results = [_batch_item(cfg, loaded, it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(lambda it: _batch_item(cfg, loaded, it), items))
-    return _envelope("batch", cfg.to_json_dict(), results)
+    return [_batch_item(cfg, loaded, it) for it in items]
 
 
-def _cmd_batch(args) -> tuple[Optional[str], dict, list[str]]:
+def _cmd_batch(args) -> tuple[dict, list[dict], list[str]]:
     cfg = load_experiment_config(args.config)
-    jobs = args.jobs
+    # --jobs and DMLWB_JOBS are validated but do not change the run
     env_jobs = os.environ.get("DMLWB_JOBS")
     if env_jobs is not None:
         try:
-            jobs = _positive_int(env_jobs)
+            _positive_int(env_jobs)
         except ValueError as exc:
             raise UsageError(f"DMLWB_JOBS: {exc}") from exc
-    doc = run_batch(cfg, jobs)
-    out = args.out if args.out is not None else cfg.out
+    results = run_batch(cfg)
+    # main writes to args.out; the config's path is the fallback
+    if args.out is None:
+        args.out = cfg.out
     counts: dict[str, int] = {}
-    for item in doc["result"]:
-        if item["error"] is not None:
-            key = "error"
-        else:
-            key = item["dml"]["verdict"]
+    for item in results:
+        key = "error" if item["error"] is not None else item["dml"]["verdict"]
         counts[key] = counts.get(key, 0) + 1
-    summary = [f"{len(doc['result'])} batch items"]
+    summary = [f"{len(results)} batch items"]
     for key in sorted(counts):
         summary.append(f"  {key}: {counts[key]}")
-    return out, doc, summary
+    return cfg.to_json_dict(), results, summary
 
 
 # -- parser wiring ---------------------------------------------------------------
@@ -591,10 +574,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.handler is _cmd_batch:
-            out, doc, summary = _cmd_batch(args)
-            _emit(doc, out, summary)
-            return 0
         command = args.command
         if command == "dml":
             command = f"dml {args.dml_command}"

@@ -30,12 +30,10 @@ from .maps import Point, PolyMap, RationalMap
 from .parsing import parse_poly
 from .poly import (
     Poly2,
-    _exact_div_x,
-    _from_x_coeff_list,
-    _x_coeff_list,
+    compose_rational,
     divide_by_y,
     divides,
-    exact_div,
+    is_constant_mod,
     normalize_primitive,
     poly_gcd,
     restrict_y0,
@@ -83,11 +81,20 @@ class Curve:
     def __init__(self, equation: Poly2):
         if equation.is_zero or equation.is_constant():
             raise ValueError("a curve equation must be a nonconstant polynomial")
-        facs = [f for f, _ in factor_poly(equation)]
+        self._set_factors([f for f, _ in factor_poly(equation)])
+
+    @classmethod
+    def _from_factors(cls, factors) -> "Curve":
+        """Curve of distinct irreducible factors already in factor_poly form."""
+        C = object.__new__(cls)
+        C._set_factors(factors)
+        return C
+
+    def _set_factors(self, factors) -> None:
         eq = Poly2.one()
-        for f in facs:
+        for f in factors:
             eq = eq * f
-        object.__setattr__(self, "factors", tuple(facs))
+        object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "equation", normalize_primitive(eq))
 
     def __setattr__(self, name, value):
@@ -108,7 +115,7 @@ class Curve:
         return self.equation.evaluate(p.x, p.y) == 0
 
     def irreducible_components(self) -> list["Curve"]:
-        return [Curve(f) for f in self.factors]
+        return [Curve._from_factors((f,)) for f in self.factors]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Curve):
@@ -151,62 +158,6 @@ def is_periodic_curve(C: Curve, f: PolyMap, K: int) -> Optional[int]:
 
 # -- contraction detection -----------------------------------------------------
 
-def _rem_x(a: Poly2, b: Poly2) -> Poly2:
-    """Remainder of univariate-in-x division."""
-    ca, cb = _x_coeff_list(a), _x_coeff_list(b)
-    lead = cb[-1]
-    rem = list(ca)
-    while len(rem) >= len(cb):
-        c = rem[-1] / lead
-        for t in range(len(cb)):
-            rem[len(rem) - len(cb) + t] -= c * cb[t]
-        while rem and not rem[-1]:
-            rem.pop()
-    return _from_x_coeff_list(rem)
-
-
-def _prem_tracked(a: Poly2, b: Poly2) -> tuple[Poly2, int]:
-    """Pseudo-remainder of a by b in y with the multiplier count.
-
-    Returns (r, s) with r = lc_y(b)^s * a modulo b in (Q[x])[y] and
-    deg_y r < deg_y b.
-    """
-    db = b.deg_y()
-    lead_b = y_coefficients(b)[db]
-    work = a
-    steps = 0
-    while not work.is_zero and work.deg_y() >= db:
-        dw = work.deg_y()
-        lead_w = y_coefficients(work)[dw]
-        work = work * lead_b - Poly2({(0, dw - db): 1}) * lead_w * b
-        steps += 1
-    return work, steps
-
-
-def _is_constant_mod(P: Poly2, D: Poly2) -> bool:
-    """Whether P is congruent to a rational constant modulo irreducible D."""
-    dy = D.deg_y()
-    if dy == 0:
-        coeffs = y_coefficients(P)
-        for j, cj in coeffs.items():
-            if j == 0:
-                continue
-            if _exact_div_x(cj, D) is None:
-                return False
-        c0 = coeffs.get(0)
-        if c0 is None:
-            return True
-        return _rem_x(c0, D).is_constant()
-    rem, s = _prem_tracked(P, D)
-    if rem.is_zero:
-        return True
-    if rem.deg_y() > 0:
-        return False
-    lead = y_coefficients(D)[dy]
-    q = exact_div(rem, lead**s)
-    return q is not None and q.is_constant()
-
-
 def is_contracted_factor(D: Poly2, f: PolyMap) -> bool:
     """True iff f maps the irreducible curve D = 0 to a single point.
 
@@ -214,7 +165,7 @@ def is_contracted_factor(D: Poly2, f: PolyMap) -> bool:
     irreducible equation is its own normal-form divisor, so the test is
     exact.
     """
-    return _is_constant_mod(f.f1, D) and _is_constant_mod(f.f2, D)
+    return is_constant_mod(f.f1, D) and is_constant_mod(f.f2, D)
 
 
 def contracts_curve(C: Curve, f: PolyMap) -> bool:
@@ -231,8 +182,6 @@ def strict_transform_inverse(C: Curve, g: RationalMap) -> Curve:
     strips numerator factors dividing the cleared denominator (the
     exceptional components introduced by clearing).
     """
-    from .poly import compose_rational
-
     num, den = compose_rational(
         C.equation, g.g1.num, g.g1.den, g.g2.num, g.g2.den
     )
@@ -246,10 +195,7 @@ def strict_transform_inverse(C: Curve, g: RationalMap) -> Curve:
         raise ContractionError(
             "every factor of the substituted equation is exceptional"
         )
-    eq = Poly2.one()
-    for fac in kept:
-        eq = eq * fac
-    return Curve(eq)
+    return Curve._from_factors(kept)
 
 
 def push_forward_curve(C: Curve, f: PolyMap) -> Curve:
@@ -267,10 +213,7 @@ def pullback_curve(C: Curve, f: PolyMap) -> Curve:
     kept = [fac for fac, _ in factor_poly(pulled) if not is_contracted_factor(fac, f)]
     if not kept:
         raise ContractionError("preimage consists of contracted components only")
-    eq = Poly2.one()
-    for fac in kept:
-        eq = eq * fac
-    return Curve(eq)
+    return Curve._from_factors(kept)
 
 
 # -- closures on the ruled surface ---------------------------------------------

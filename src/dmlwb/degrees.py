@@ -64,7 +64,7 @@ class StabilityVerdict:
 
 
 def algebraic_degree(f: PolyMap) -> int:
-    """max(deg f1, deg f2) for a non-constant map."""
+    """max(deg f1, deg f2); 0 for a constant map."""
     return f.algebraic_degree()
 
 
@@ -80,15 +80,19 @@ def _raw_degree_sequence(f: PolyMap, N: int) -> list[int]:
     deg f^n = d^n (module docstring); each step composes only the
     degree-d part of f with a homogeneous pair.  At the first vanishing
     h_n, and for affine maps (d = 1), the whole sequence is taken from
-    full compositions f^n = f(f^{n-1}) instead.  Both paths multiply
-    through Poly2, so on a stable prefix the degree cap trips at the
-    first n with d^n above the cap, as full composition does.
+    full compositions f^n = f(f^{n-1}) instead, where a constant
+    iterate (possible only when f is not dominant) has degree 0.  A
+    constant f is rejected.  Both paths multiply through Poly2, so on a
+    stable prefix the degree cap trips at the first n with d^n above the
+    cap, as full composition does.
     """
     if N < 1:
         raise ValueError("degree horizon must be at least 1")
     # inverses are dropped: composing them is wasted work here
     base = PolyMap(f.f1, f.f2)
     d = base.algebraic_degree()
+    if d == 0:
+        raise ValueError("degree is undefined for a constant map")
     if d > 1:
         top1, top2 = _top_part(base.f1, d), _top_part(base.f2, d)
         h1, h2 = top1, top2
@@ -112,8 +116,8 @@ def _lambda_estimate(degrees: list[int], deg_f: int) -> float:
     if last == deg_f**N:
         # stability gives exact equality; avoid float roots
         return float(deg_f)
-    if last == 1:
-        return 1.0
+    if last <= 1:
+        return float(last)
     return math.exp(math.log(last) / N)
 
 
@@ -166,6 +170,8 @@ def dynamical_degree_estimate(f: PolyMap, N: int) -> DegreeEstimate:
     if N < 2:
         raise ValueError("estimate horizon must be at least 2")
     degrees = _raw_degree_sequence(f, N)
+    if degrees[-2] == 0:
+        raise ValueError(f"last ratio is undefined: deg f^{N - 1} = 0")
     return DegreeEstimate(
         estimate=_lambda_estimate(degrees, degrees[0]),
         last_ratio=degrees[-1] / degrees[-2],

@@ -175,11 +175,8 @@ class PolyMap:
         return Point(self.f1.evaluate(p.x, p.y), self.f2.evaluate(p.x, p.y))
 
     def algebraic_degree(self) -> int:
-        """max(deg f1, deg f2); rejects the constant-pair degenerate map."""
-        d = max(self.f1.total_degree(), self.f2.total_degree())
-        if d < 1:
-            raise ValueError("degree is undefined for a constant map")
-        return int(d)
+        """max(deg f1, deg f2); a constant map, (0, 0) included, has degree 0."""
+        return int(max(0, self.f1.total_degree(), self.f2.total_degree()))
 
     def as_rational_map(self) -> RationalMap:
         return RationalMap(RatFunc.from_poly(self.f1), RatFunc.from_poly(self.f2))

@@ -11,14 +11,15 @@ Canonical form: no zero entries, denominator >= 1, and the gcd of the
 denominator with the coefficient content is 1.  Equality and hashing
 rely on this.
 
-Every product-like operation checks the module degree cap and raises
-DegreeCapError instead of building a polynomial beyond the cap.
+Every product-like operation checks the degree cap and raises
+DegreeCapError instead of building a polynomial beyond the cap.  The cap
+is one process-wide value: set_degree_cap changes it for every caller,
+so code that tightens it for one computation restores it afterwards.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -30,26 +31,25 @@ Scalar = Union[int, Fraction, str]
 NEG_INF = float("-inf")
 
 DEFAULT_DEGREE_CAP = 4096
-# per-thread so concurrent classifications can tighten it independently
-_cap_state = threading.local()
+_degree_cap = DEFAULT_DEGREE_CAP
 
 
 def set_degree_cap(cap: int) -> None:
-    """Set the total-degree cap for the current thread (must be positive)."""
+    """Set the process-wide total-degree cap (must be positive)."""
+    global _degree_cap
     if cap <= 0:
         raise ValueError("degree cap must be positive")
-    _cap_state.cap = cap
+    _degree_cap = cap
 
 
 def get_degree_cap() -> int:
-    return getattr(_cap_state, "cap", DEFAULT_DEGREE_CAP)
+    return _degree_cap
 
 
 def _check_cap(degree) -> None:
-    cap = get_degree_cap()
-    if degree > cap:
+    if degree > _degree_cap:
         raise DegreeCapError(
-            f"operation would produce total degree {degree} > cap {cap}"
+            f"operation would produce total degree {degree} > cap {_degree_cap}"
         )
 
 
@@ -453,27 +453,34 @@ def _from_x_coeff_list(coeffs: list[Fraction]) -> Poly2:
     return Poly2.from_terms({(i, 0): c for i, c in enumerate(coeffs) if c})
 
 
+def _divmod_x(ca: list[Fraction], cb: list[Fraction]):
+    """Long division of dense coefficient lists over Q (lowest degree first).
+
+    cb must end in a nonzero entry.  Returns (q, r) with a = q*b + r and
+    r shorter than cb, trailing zeros stripped (the zero remainder is []).
+    """
+    nb = len(cb) - 1
+    lead = cb[-1]
+    rem = list(ca)
+    q = [Fraction(0)] * max(len(ca) - nb, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + nb] / lead
+        if c:
+            q[k] = c
+            for t in range(nb):
+                rem[k + t] -= c * cb[t]
+    del rem[nb:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
 def _exact_div_x(a: Poly2, b: Poly2):
     """Exact quotient of univariate-in-x polynomials, or None."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return Poly2.zero()
-    ca, cb = _x_coeff_list(a), _x_coeff_list(b)
-    if len(ca) < len(cb):
-        return None
-    lead = cb[-1]
-    q = [Fraction(0)] * (len(ca) - len(cb) + 1)
-    rem = list(ca)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + len(cb) - 1] / lead
-        q[k] = c
-        if c:
-            for t, bc in enumerate(cb):
-                rem[k + t] -= c * bc
-    if any(rem[: len(cb) - 1]):
-        return None
-    return _from_x_coeff_list(q)
+    q, r = _divmod_x(_x_coeff_list(a), _x_coeff_list(b))
+    return None if r else _from_x_coeff_list(q)
 
 
 def exact_div(a: Poly2, b: Poly2):
@@ -542,15 +549,7 @@ def _gcd_x(a: Poly2, b: Poly2) -> Poly2:
     """Euclidean gcd of univariate-in-x polynomials, primitive-normalized."""
     ca, cb = _x_coeff_list(a), _x_coeff_list(b)
     while cb:
-        lead = cb[-1]
-        rem = list(ca)
-        while len(rem) >= len(cb):
-            c = rem[-1] / lead
-            for t in range(len(cb)):
-                rem[len(rem) - len(cb) + t] -= c * cb[t]
-            while rem and not rem[-1]:
-                rem.pop()
-        ca, cb = cb, rem
+        ca, cb = cb, _divmod_x(ca, cb)[1]
     return normalize_primitive(_from_x_coeff_list(ca))
 
 
@@ -564,16 +563,22 @@ def _content_y(p: Poly2) -> Poly2:
     return acc
 
 
-def _pseudo_rem_y(a: Poly2, b: Poly2) -> Poly2:
-    """Pseudo-remainder of a by b viewed in (Q[x])[y]."""
+def _pseudo_rem_y(a: Poly2, b: Poly2) -> tuple[Poly2, int]:
+    """Pseudo-remainder of a by b viewed in (Q[x])[y], with its step count.
+
+    Returns (r, s) with r = lc_y(b)^s * a modulo b in (Q[x])[y] and
+    deg_y r < deg_y b.
+    """
     db = b.deg_y()
     lead_b = y_coefficients(b)[db]
     work = a
+    steps = 0
     while not work.is_zero and work.deg_y() >= db:
         dw = work.deg_y()
         lead_w = y_coefficients(work)[dw]
         work = work * lead_b - from_y_coefficients({dw - db: lead_w}) * b
-    return work
+        steps += 1
+    return work, steps
 
 
 def poly_gcd(a: Poly2, b: Poly2) -> Poly2:
@@ -596,7 +601,7 @@ def poly_gcd(a: Poly2, b: Poly2) -> Poly2:
     if pa.deg_y() < pb.deg_y():
         pa, pb = pb, pa
     while True:
-        r = _pseudo_rem_y(pa, pb)
+        r, _ = _pseudo_rem_y(pa, pb)
         if r.is_zero:
             g = exact_div(pb, _content_y(pb))
             break
@@ -616,3 +621,22 @@ def squarefree_part(p: Poly2) -> Poly2:
     if g.is_constant():
         return normalize_primitive(p)
     return normalize_primitive(exact_div(p, g))
+
+
+def is_constant_mod(P: Poly2, D: Poly2) -> bool:
+    """Whether P is congruent to a rational constant modulo irreducible D."""
+    if D.deg_y() == 0:
+        # D lies in Q[x]: each y^j coefficient of P must vanish modulo D,
+        # except the y^0 one, which may leave a constant
+        cd = _x_coeff_list(D)
+        return all(
+            len(_divmod_x(_x_coeff_list(cj), cd)[1]) <= (1 if j == 0 else 0)
+            for j, cj in y_coefficients(P).items()
+        )
+    rem, s = _pseudo_rem_y(P, D)
+    if rem.is_zero:
+        return True
+    if rem.deg_y() > 0:
+        return False
+    q = exact_div(rem, y_coefficients(D)[D.deg_y()] ** s)
+    return q is not None and q.is_constant()

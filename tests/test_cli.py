@@ -74,6 +74,13 @@ class TestDegrees:
         assert doc["result"]["profile"]["growth_class"] == "linear"
         assert doc["result"]["stability"] == "unstable_at(2)"
 
+    def test_constant_iterate(self, capsys, tmp_path):
+        path = tmp_path / "nilpotent.json"
+        path.write_text(json.dumps({"f1": "2*y + 1", "f2": "1"}))
+        doc = run_json(capsys, ["degrees", "--map", str(path), "--horizon", "3"])
+        assert doc["result"]["profile"]["degrees"] == [1, 0, 0]
+        assert doc["result"]["stability"] == "unstable_at(2)"
+
     def test_horizon_one_is_domain_error(self, capsys, henon_file):
         code = main(["degrees", "--map", henon_file, "--horizon", "1"])
         captured = capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmlwb import curves
 from dmlwb.curves import (
     Curve,
     closure_meets_indeterminacy,
@@ -56,6 +57,16 @@ class TestCurve:
         c = curve("x^2*y")
         assert c.equation == parse_poly("x*y")
         assert {str(k) for k in c.irreducible_components()} == {"x", "y"}
+
+    def test_components_reuse_stored_factors(self, monkeypatch):
+        c = curve("x*y*(y - 1)")
+        expected = [Curve(f) for f in c.factors]
+        calls = []
+        monkeypatch.setattr(curves, "factor_poly", lambda p: calls.append(p))
+        comps = c.irreducible_components()
+        assert calls == []
+        assert comps == expected
+        assert [k.factors for k in comps] == [(f,) for f in c.factors]
 
     def test_is_irreducible(self):
         assert curve("y - x^2").is_irreducible
@@ -109,6 +120,16 @@ class TestContraction:
         f = pmap("y - x^2", "0")
         assert is_contracted_factor(parse_poly("y - x^2"), f)
         assert not is_contracted_factor(parse_poly("y"), f)
+
+    @pytest.mark.parametrize("D, f1, f2, expected", [
+        ("x*y - 1", "x*y", "x*y + 1", True),
+        ("x*y - 1", "x", "x*y", False),
+        ("x^2*y - 1", "x^2*y", "x*y^2 + y", False),
+    ])
+    def test_nonconstant_leading_y_coefficient(self, D, f1, f2, expected):
+        # lc_y(D) is a nonconstant polynomial in x, so the test runs the
+        # pseudo-remainder with at least one step
+        assert is_contracted_factor(parse_poly(D), pmap(f1, f2)) is expected
 
     def test_shifted_fiber_not_contracted(self):
         f = pmap("2*x", "x^3*y + x^5")

@@ -96,6 +96,22 @@ def test_inverse_not_required():
     assert prof.degrees == (2, 3, 4, 5)
 
 
+def test_constant_iterate_has_degree_zero():
+    f = parse_map("2*y + 1", "1")  # f^2 = (3, 1)
+    prof = degree_sequence(f, 3)
+    assert prof.degrees == (1, 0, 0)
+    assert prof.lambda_estimate == 0.0
+    assert str(is_algebraically_stable_P2(f, 3)) == "unstable_at(2)"
+    with pytest.raises(ValueError, match=r"deg f\^2 = 0"):
+        dynamical_degree_estimate(f, 3)
+    assert degree_sequence(parse_map("y", "0"), 3).degrees == (1, 0, 0)
+
+
+def test_constant_map_rejected():
+    with pytest.raises(ValueError, match="constant map"):
+        degree_sequence(parse_map("2", "3"), 3)
+
+
 def test_degree_cap_trips_at_first_degree_above_cap():
     henon = parse_map("y", "y^2 - x")
     saved = get_degree_cap()

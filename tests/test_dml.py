@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dmlwb.curves import Curve
 from dmlwb.dml import (
     APSet,
+    _curve_period_capped,
     ap_decompose,
     dml_classify,
     orbit,
@@ -15,6 +16,7 @@ from dmlwb.dml import (
 )
 from dmlwb.maps import Point, PolyMap, iterate_map, point
 from dmlwb.parsing import parse_poly
+from dmlwb.poly import get_degree_cap, set_degree_cap
 
 
 def pmap(f1: str, f2: str) -> PolyMap:
@@ -174,6 +176,17 @@ class TestAPDecompose:
                 S.add(n)
         ap = ap_decompose(S, N)
         assert ap.members() == S
+
+
+def test_capped_curve_search_restores_degree_cap():
+    saved = get_degree_cap()
+    set_degree_cap(2048)
+    try:
+        got = _curve_period_capped(curve("x"), pmap("y", "y^2 - x"), 12, 128)
+        assert got == (None, True)
+        assert get_degree_cap() == 2048
+    finally:
+        set_degree_cap(saved)
 
 
 class TestDmlClassify:

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmlwb.errors import DegreeCapError, PolyParseError
 from dmlwb.parsing import parse_point, parse_poly, parse_ratfunc_pair
 from dmlwb.poly import (
     Poly2,
+    _divmod_x,
+    _from_x_coeff_list,
+    _pseudo_rem_y,
+    _x_coeff_list,
     as_fraction,
     divides,
     exact_div,
@@ -190,6 +194,28 @@ class TestDivisibility:
     def test_normalize_primitive_sign(self):
         p = normalize_primitive(parse_poly("-2*x - 4"))
         assert p == X + 2
+
+
+class TestDivisionKernels:
+    @settings(max_examples=60)
+    @given(st.lists(small_fracs, max_size=7).map(_from_x_coeff_list),
+           st.lists(small_fracs, min_size=1, max_size=4).map(_from_x_coeff_list))
+    def test_divmod_x_is_euclidean_division(self, a, b):
+        assume(not b.is_zero)
+        q, r = _divmod_x(_x_coeff_list(a), _x_coeff_list(b))
+        assert not r or r[-1]
+        q, r = _from_x_coeff_list(q), _from_x_coeff_list(r)
+        assert q * b + r == a
+        assert r.is_zero or r.deg_x() < b.deg_x()
+
+    @settings(max_examples=40)
+    @given(polys(max_terms=4, max_deg=3), polys(max_terms=3, max_deg=2))
+    def test_pseudo_rem_y_certificate(self, a, b):
+        assume(b.deg_y() >= 1)
+        r, s = _pseudo_rem_y(a, b)
+        lead = y_coefficients(b)[b.deg_y()]
+        assert divides(b, lead**s * a - r)
+        assert r.is_zero or r.deg_y() < b.deg_y()
 
 
 class TestYStructure:
