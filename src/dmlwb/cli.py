@@ -30,12 +30,14 @@ from .dml import (
     DEFAULT_CURVE_SEARCH_CAP,
     DEFAULT_HORIZON,
     DEFAULT_MAX_PERIOD,
+    classify_orbit,
     dml_classify,
+    orbit,
 )
 from .errors import DmlwbError, NotTriangularError
 from .hirzebruch import FnModel, contracted_image_check, indeterminacy_fn
-from .maps import Point, load_map, map_to_json_dict
-from .metrics import DEFAULT_EPS, basin_probe, local_dml_probe
+from .maps import Point, PolyMap, load_map, map_to_json_dict
+from .metrics import DEFAULT_EPS, basin_probe, local_verdict
 from .parsing import parse_point
 from .places import (
     Place,
@@ -312,6 +314,16 @@ def _cmd_dml_scan(args) -> tuple[dict, dict, list[str]]:
 # -- batch orchestration ----------------------------------------------------------
 
 @dataclass(frozen=True)
+class BatchInputs:
+    """The loaded objects behind an ExperimentConfig's strings."""
+
+    maps: tuple[PolyMap, ...]
+    curves: tuple[Curve, ...]
+    points: tuple[Point, ...]
+    places: tuple[Place, ...]
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A batch: the cross product of maps x curves x points x places."""
 
@@ -341,8 +353,42 @@ class ExperimentConfig:
         }
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
-    """Load and fully validate a batch config; any defect is a usage error."""
+def _load_inputs(cfg: ExperimentConfig) -> BatchInputs:
+    """Load every map, curve, point and place; any defect is a usage error."""
+    maps = []
+    for path_ in cfg.maps:
+        if not isinstance(path_, str):
+            raise UsageError(
+                f"--config: maps entries must be file paths, got {path_!r}"
+            )
+        if not os.path.isfile(path_):
+            raise UsageError(f"--config: map file does not exist: {path_}")
+        try:
+            maps.append(load_map(path_))
+        except Exception as exc:
+            raise UsageError(f"--config: bad map file {path_}: {exc}") from exc
+    parsed = []
+    for kind, texts, parse in (
+        ("curve", cfg.curves, Curve.from_string),
+        ("point", cfg.points, _point_arg),
+        ("place", cfg.places, Place.parse),
+    ):
+        loaded = []
+        for text in texts:
+            try:
+                loaded.append(parse(text))
+            except Exception as exc:
+                raise UsageError(f"--config: bad {kind} {text!r}: {exc}") from exc
+        parsed.append(tuple(loaded))
+    return BatchInputs(tuple(maps), *parsed)
+
+
+def load_batch(path: str) -> tuple[ExperimentConfig, BatchInputs]:
+    """Load and fully validate a batch config, with the inputs it names.
+
+    Validation loads every map, curve, point and place, and those loaded
+    objects are what run_batch runs on.  Any defect is a usage error.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -370,27 +416,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         curve_search_cap=guards.get("curve_search_cap", DEFAULT_CURVE_SEARCH_CAP),
         out=raw.get("out"),
     )
-    for path_ in cfg.maps:
-        if not isinstance(path_, str):
-            raise UsageError(
-                f"--config: maps entries must be file paths, got {path_!r}"
-            )
-        if not os.path.isfile(path_):
-            raise UsageError(f"--config: map file does not exist: {path_}")
-        try:
-            load_map(path_)
-        except Exception as exc:
-            raise UsageError(f"--config: bad map file {path_}: {exc}") from exc
-    for kind, texts, parse in (
-        ("curve", cfg.curves, Curve.from_string),
-        ("point", cfg.points, parse_point),
-        ("place", cfg.places, Place.parse),
-    ):
-        for text in texts:
-            try:
-                parse(text)
-            except Exception as exc:
-                raise UsageError(f"--config: bad {kind} {text!r}: {exc}") from exc
+    inputs = _load_inputs(cfg)
     for kind, name, value in (
         ("horizon", "N", cfg.N),
         ("horizon", "K", cfg.K),
@@ -400,64 +426,101 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     ):
         if not isinstance(value, int) or value <= 0:
             raise UsageError(f"--config: {kind} {name} must be a positive integer")
-    return cfg
+    return cfg, inputs
 
 
-def _batch_item(cfg: ExperimentConfig, loaded, item) -> dict:
-    i_m, i_c, i_p, i_v = item
-    f, C = loaded["maps"][i_m], loaded["curves"][i_c]
-    p, v = loaded["points"][i_p], loaded["places"][i_v]
-    report: dict = {
-        "map": cfg.maps[i_m],
-        "curve": cfg.curves[i_c],
-        "point": cfg.points[i_p],
-        "place": cfg.places[i_v],
-        "error": None,
-    }
+def load_experiment_config(path: str) -> ExperimentConfig:
+    """Load and fully validate a batch config; any defect is a usage error."""
+    return load_batch(path)[0]
+
+
+_FAILURES = (DmlwbError, ValueError)
+
+
+def _once(compute):
+    """A batch stage shared by many items, computed when first read.
+
+    Its result, or the domain error it raised, is kept: every item that
+    reads a failed stage reports that failure as its own.
+    """
+    kept = []
+
+    def read():
+        if not kept:
+            try:
+                kept.append(compute())
+            except _FAILURES as exc:
+                kept.append(exc)
+        if isinstance(kept[0], Exception):
+            raise kept[0].with_traceback(None)
+        return kept[0]
+
+    return read
+
+
+def _item_report(names: dict, dml, local) -> dict:
+    """One batch item: the dml report, then the local one.
+
+    dml and local are read in that order, as an item computed on its own
+    computes them: the first failing stage names the error, "dml" stays
+    when only the local probe failed, a map that is not triangular has
+    local None, and no local stage runs for an item whose dml failed.
+    """
+    report = dict(names, error=None)
     try:
-        dml = dml_classify(
-            f, C, p,
-            N=cfg.N,
-            K=cfg.K,
-            bit_guard=cfg.bit_guard,
-            curve_search_cap=cfg.curve_search_cap,
-        )
-        report["dml"] = dml.to_json_dict()
+        report["dml"] = dml().to_json_dict()
         try:
-            model = FnModel.from_map(f)
-            local = local_dml_probe(model, C, p, v=v, N=cfg.M)
-            report["local"] = local.to_json_dict()
+            report["local"] = local().to_json_dict()
         except NotTriangularError:
             report["local"] = None
-    except (DmlwbError, ValueError) as exc:
+    except _FAILURES as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
     return report
 
 
-def run_batch(cfg: ExperimentConfig) -> list[dict]:
-    """Run the cross product item by item, in input order.
+def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
+    """Run the cross product of inputs; items are listed in input order.
 
-    Items run serially in this process: the work is pure-Python exact
-    arithmetic, so threads would only interleave under the GIL.
+    Each result is computed at most once, at the level it depends on,
+    and only when an item reads it: the F_n model per map; the orbit of
+    each point to N (and, for a triangular map, to M for the local
+    probe) per (map, point); the classification per (map, point, curve);
+    the basin probe per (map, point, place); the local verdict per item.
+    Only one (map, point) group's orbits are alive at a time.  The work
+    is pure-Python exact arithmetic, so it runs serially in this process.
     """
-    loaded = {
-        "maps": [load_map(p) for p in cfg.maps],
-        "curves": [Curve.from_string(s) for s in cfg.curves],
-        "points": [Point(*parse_point(s)) for s in cfg.points],
-        "places": [Place.parse(s) for s in cfg.places],
-    }
-    items = [
-        (i_m, i_c, i_p, i_v)
-        for i_m in range(len(cfg.maps))
-        for i_c in range(len(cfg.curves))
-        for i_p in range(len(cfg.points))
-        for i_v in range(len(cfg.places))
-    ]
-    return [_batch_item(cfg, loaded, it) for it in items]
+    n_c, n_p, n_v = len(inputs.curves), len(inputs.points), len(inputs.places)
+    reports: list = [None] * (len(inputs.maps) * n_c * n_p * n_v)
+    for i_m, f in enumerate(inputs.maps):
+        model = _once(lambda: FnModel.from_map(f))
+        f_local = _once(lambda: model().affine_map())
+        for i_p, p in enumerate(inputs.points):
+            res = _once(lambda: orbit(f, p, cfg.N, cfg.bit_guard))
+            local_res = _once(lambda: orbit(f_local(), p, cfg.M, cfg.bit_guard))
+            basins = [
+                _once(lambda v=v: basin_probe(model(), p, None, v, cfg.M))
+                for v in inputs.places
+            ]
+            for i_c, C in enumerate(inputs.curves):
+                dml = _once(lambda: classify_orbit(
+                    f, C, res(), K=cfg.K, curve_search_cap=cfg.curve_search_cap
+                ))
+                for i_v, basin in enumerate(basins):
+                    names = {
+                        "map": cfg.maps[i_m],
+                        "curve": cfg.curves[i_c],
+                        "point": cfg.points[i_p],
+                        "place": cfg.places[i_v],
+                    }
+                    slot = ((i_m * n_c + i_c) * n_p + i_p) * n_v + i_v
+                    reports[slot] = _item_report(names, dml, lambda: local_verdict(
+                        f_local(), C, basin(), local_res()
+                    ))
+    return reports
 
 
 def _cmd_batch(args) -> tuple[dict, list[dict], list[str]]:
-    cfg = load_experiment_config(args.config)
+    cfg, inputs = load_batch(args.config)
     # --jobs and DMLWB_JOBS are validated but do not change the run
     env_jobs = os.environ.get("DMLWB_JOBS")
     if env_jobs is not None:
@@ -465,7 +528,7 @@ def _cmd_batch(args) -> tuple[dict, list[dict], list[str]]:
             _positive_int(env_jobs)
         except ValueError as exc:
             raise UsageError(f"DMLWB_JOBS: {exc}") from exc
-    results = run_batch(cfg)
+    results = run_batch(cfg, inputs)
     # main writes to args.out; the config's path is the fallback
     if args.out is None:
         args.out = cfg.out

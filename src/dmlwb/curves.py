@@ -112,7 +112,7 @@ class Curve:
         return int(self.equation.total_degree())
 
     def contains(self, p: Point) -> bool:
-        return self.equation.evaluate(p.x, p.y) == 0
+        return self.equation.vanishes_at(p.x, p.y)
 
     def irreducible_components(self) -> list["Curve"]:
         return [Curve._from_factors((f,)) for f in self.factors]

@@ -97,7 +97,7 @@ def orbit(
     )
 
 
-def _visits(res: OrbitResult, C: Curve) -> list[int]:
+def orbit_visits(res: OrbitResult, C: Curve) -> list[int]:
     """Visit times within [0, horizon], cycle-extended when possible."""
     out = []
     computed = len(res.points)
@@ -138,7 +138,7 @@ def visit_set_with_orbit(
 ) -> tuple[list[int], OrbitResult]:
     """visit_set plus the underlying orbit (for guard inspection)."""
     res = orbit(f, p, N, bit_guard)
-    return _visits(res, C), res
+    return orbit_visits(res, C), res
 
 
 @dataclass(frozen=True)
@@ -301,8 +301,25 @@ def dml_classify(
     admissible explanations.  Guards are recorded in the report, never
     silently dropped.
     """
-    res = orbit(f, p, N, bit_guard)
-    visits = _visits(res, C)
+    return classify_orbit(
+        f, C, orbit(f, p, N, bit_guard), K=K, curve_search_cap=curve_search_cap
+    )
+
+
+def classify_orbit(
+    f: PolyMap,
+    C: Curve,
+    res: OrbitResult,
+    K: int = DEFAULT_MAX_PERIOD,
+    curve_search_cap: int = DEFAULT_CURVE_SEARCH_CAP,
+) -> DmlReport:
+    """dml_classify on an orbit already computed, res = orbit(f, p, N, ...).
+
+    The orbit depends on neither C nor K, so one orbit serves every
+    curve; the horizon N is res.horizon.
+    """
+    N = res.horizon
+    visits = orbit_visits(res, C)
     notes: list[str] = []
     truncated = res.guard_hit and res.cycle is None
     if truncated:

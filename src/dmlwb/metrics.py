@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .curves import is_fixed_curve
+from .dml import DEFAULT_BIT_GUARD, OrbitResult, orbit, orbit_visits
 from .errors import ChartDomainError, IndeterminacyError
 from .hirzebruch import FnModel, FnPoint, chart_around_Q, embed_A2, fixed_point_Q
 from .maps import Point, PolyMap
@@ -262,32 +264,47 @@ def local_dml_probe(
     N: int = 50,
     eps=DEFAULT_EPS,
     visit_threshold: int = 8,
+    bit_guard: int = DEFAULT_BIT_GUARD,
 ) -> LocalDmlReport:
     """Empirical local dichotomy: attraction to Q plus many visits to C
     force either an orbit landing on Q exactly or a fixed curve.
 
-    Runs basin_probe and the visit-set computation together; when
+    Runs basin_probe and the orbit of p up to N (coordinates capped at
+    bit_guard bits), then hands both to local_verdict.
+    """
+    f = model.affine_map() if isinstance(model, FnModel) else model
+    affine_p = p if isinstance(p, Point) else Point(*(as_fraction(c) for c in p))
+    basin = basin_probe(model, p, Q, v, N, eps)
+    res = orbit(f, affine_p, N, bit_guard)
+    q = None
+    if Q is not None and not isinstance(model, FnModel):
+        q = Q if isinstance(Q, Point) else Point(*(as_fraction(c) for c in Q))
+    return local_verdict(f, C, basin, res, q, visit_threshold)
+
+
+def local_verdict(
+    f: PolyMap,
+    C,
+    basin: BasinReport,
+    res: OrbitResult,
+    q: Optional[Point] = None,
+    visit_threshold: int = 8,
+) -> LocalDmlReport:
+    """The curve-dependent half of local_dml_probe.
+
+    basin and res (the orbit of the probed point under the affine map f)
+    depend on neither C nor the visit threshold, so one of each serves
+    every curve.  An exact hit on Q counts when the basin probe reached
+    Q, or when the orbit passes through the affine point q.  When
     convergence is certified and the visit count reaches the threshold,
     checks is_fixed_curve / exact Q-hits and raises the violation flag
     if both fail (no known map does this; the flag marks an anomaly).
     """
-    from .curves import is_fixed_curve
-    from .dml import visit_set_with_orbit
-
     notes: list[str] = []
-    if isinstance(model, FnModel):
-        f = model.affine_map()
-    else:
-        f = model
-    affine_p = p if isinstance(p, Point) else Point(*(as_fraction(c) for c in p))
-    basin = basin_probe(model, p, Q, v, N, eps)
-    visits, orbit_res = visit_set_with_orbit(f, affine_p, C, N)
-    if orbit_res.guard_hit:
+    visits = orbit_visits(res, C)
+    if res.guard_hit:
         notes.append("orbit guard truncated the visit scan")
-    hits_q = basin.verdict == "reached_Q"
-    if not isinstance(model, FnModel) and Q is not None:
-        q_aff = Q if isinstance(Q, Point) else Point(*(as_fraction(c) for c in Q))
-        hits_q = hits_q or any(pt == q_aff for pt in orbit_res.points)
+    hits_q = basin.verdict == "reached_Q" or (q is not None and q in res.points)
     if basin.converged and len(visits) >= visit_threshold:
         if hits_q:
             verdict, violation = "orbit_hits_Q", False

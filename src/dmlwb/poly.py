@@ -274,9 +274,22 @@ class Poly2:
 
     def evaluate(self, x: Scalar, y: Scalar) -> Fraction:
         """Exact value at a rational point."""
+        return Fraction(*self._scaled_value(x, y))
+
+    def vanishes_at(self, x: Scalar, y: Scalar) -> bool:
+        """self(x, y) == 0, read off the numerator: no Fraction, no gcd."""
+        return self._scaled_value(x, y)[0] == 0
+
+    def _scaled_value(self, x: Scalar, y: Scalar) -> tuple[int, int]:
+        """(num, den) with self(x, y) = num / den and den > 0, unreduced.
+
+        Every term is put over the common denominator d * xd^dx * yd^dy
+        (d the stored denominator, xd and yd those of x and y, dx and dy
+        the degrees in x and y), so num is a plain integer sum.
+        """
         qx, qy = as_fraction(x), as_fraction(y)
         if not self._n:
-            return Fraction(0)
+            return 0, 1
         dx = max(i for i, _ in self._n)
         dy = max(j for _, j in self._n)
         xn, xd = qx.numerator, qx.denominator
@@ -288,7 +301,7 @@ class Poly2:
         acc = 0
         for (i, j), c in self._n.items():
             acc += c * px[i] * qxp[dx - i] * py[j] * qyp[dy - j]
-        return Fraction(acc, self._d * qxp[dx] * qyp[dy])
+        return acc, self._d * qxp[dx] * qyp[dy]
 
     def compose(self, gx: "Poly2", gy: "Poly2") -> "Poly2":
         """Polynomial substitution self(gx, gy)."""

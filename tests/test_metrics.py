@@ -168,6 +168,15 @@ class TestLocalDmlProbe:
         assert rep.verdict == "orbit_hits_Q"
         assert not rep.violation
 
+    def test_bit_guard_reaches_the_orbit(self):
+        # x doubles and y grows like x^3*y, so 64 bits are passed within 50 steps
+        m = tri_model()
+        C = Curve.from_string("y - 1")
+        guarded = local_dml_probe(m, C, point(2, 2), N=50, bit_guard=64)
+        assert "orbit guard truncated the visit scan" in guarded.notes
+        free = local_dml_probe(m, C, point(2, 2), N=50)
+        assert "orbit guard truncated the visit scan" not in free.notes
+
     def test_report_json(self):
         m = tri_model()
         rep = local_dml_probe(m, Curve.from_string("y"), point(1, 1), N=10)

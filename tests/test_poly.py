@@ -119,6 +119,15 @@ class TestArithmetic:
         q = p * p + p
         assert q.evaluate(x0, y0) == p.evaluate(x0, y0) ** 2 + p.evaluate(x0, y0)
 
+    @settings(max_examples=60)
+    @given(polys(), small_fracs, small_fracs)
+    def test_vanishes_at_matches_evaluate(self, p, x0, y0):
+        # p minus its value at (x0, y0) is a curve through that point
+        through = p - p.evaluate(x0, y0)
+        for q in (p, through, through * p):
+            assert q.vanishes_at(x0, y0) == (q.evaluate(x0, y0) == 0)
+        assert through.vanishes_at(x0, y0)
+
     def test_degree_bookkeeping(self):
         p = parse_poly("x^3*y^2 + x")
         assert p.deg_x() == 3
