@@ -484,7 +484,8 @@ def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
     Each result is computed at most once, at the level it depends on,
     and only when an item reads it: the F_n model per map; the orbit of
     each point to N (and, for a triangular map, to M for the local
-    probe) per (map, point); the classification per (map, point, curve);
+    probe, read off the first when M <= N and the model's affine map is
+    f itself) per (map, point); the classification per (map, point, curve);
     the basin probe per (map, point, place); the local verdict per item.
     Only one (map, point) group's orbits are alive at a time.  The work
     is pure-Python exact arithmetic, so it runs serially in this process.
@@ -496,7 +497,10 @@ def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
         f_local = _once(lambda: model().affine_map())
         for i_p, p in enumerate(inputs.points):
             res = _once(lambda: orbit(f, p, cfg.N, cfg.bit_guard))
-            local_res = _once(lambda: orbit(f_local(), p, cfg.M, cfg.bit_guard))
+            local_res = _once(lambda: (
+                res().prefix(cfg.M) if cfg.M <= cfg.N and f_local() == f
+                else orbit(f_local(), p, cfg.M, cfg.bit_guard)
+            ))
             basins = [
                 _once(lambda v=v: basin_probe(model(), p, None, v, cfg.M))
                 for v in inputs.places

@@ -16,7 +16,7 @@ with the guard on record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .curves import Curve, is_periodic_curve
@@ -35,6 +35,10 @@ DEFAULT_CURVE_SEARCH_CAP = 128
 
 def _bits(q) -> int:
     return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _key(p: Point) -> tuple[int, int, int, int]:
+    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,20 @@ class OrbitResult:
     def last_computed(self) -> int:
         return len(self.points) - 1
 
+    def prefix(self, M: int) -> "OrbitResult":
+        """The orbit to M <= horizon, equal to orbit(f, p, M, bit_guard).
+
+        The shorter run computes the same points up to step M.  It meets
+        the repetition or the guard that ended this run only when that
+        step is at most M, which is when fewer than M + 1 points were
+        kept; otherwise it ends at M with neither.
+        """
+        if not 0 <= M <= self.horizon:
+            raise ValueError(f"prefix length must lie in [0, {self.horizon}]")
+        if M < len(self.points):
+            return OrbitResult(self.points[:M + 1], None, False, M)
+        return replace(self, horizon=M)
+
 
 def orbit(
     f: PolyMap, p: Point, N: int, bit_guard: int = DEFAULT_BIT_GUARD
@@ -76,21 +94,22 @@ def orbit(
     """
     if N < 0:
         raise ValueError("orbit length must be nonnegative")
-    seen: dict[Point, int] = {p: 0}
+    # reduced coordinates are equal exactly when their integer pairs are,
+    # and a tuple of ints hashes faster than a Fraction
+    seen = {_key(p): 0}
     points = [p]
-    current = p
     guard_hit = False
     cycle = None
-    for k in range(1, N + 1):
-        current = f.apply(current)
+    for k, current in zip(range(1, N + 1), f.iterates(p)):
         if _bits(current.x) > bit_guard or _bits(current.y) > bit_guard:
             guard_hit = True
             break
-        hit = seen.get(current)
+        key = _key(current)
+        hit = seen.get(key)
         if hit is not None:
             cycle = (hit, k - hit)
             break
-        seen[current] = k
+        seen[key] = k
         points.append(current)
     return OrbitResult(
         points=tuple(points), cycle=cycle, guard_hit=guard_hit, horizon=N

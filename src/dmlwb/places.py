@@ -8,6 +8,7 @@ coordinate in absolute value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,9 +223,7 @@ def height_growth_probe(f: PolyMap, p: Point, N: int) -> list[GrowthSample]:
     The ratio is omitted (None) whenever either height is 1, since the
     logarithm quotient degenerates there.
     """
-    pts = [p]
-    for _ in range(N + 1):
-        pts.append(f.apply(pts[-1]))
+    pts = [p, *itertools.islice(f.iterates(p), N + 1)]
     heights = [height_affine(q) for q in pts]
     out = []
     for n in range(N + 1):

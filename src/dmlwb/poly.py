@@ -30,6 +30,9 @@ Scalar = Union[int, Fraction, str]
 
 NEG_INF = float("-inf")
 
+# the Mersenne prime behind the modular rejection test of vanishes_at
+RESIDUE_PRIME = 2**61 - 1
+
 DEFAULT_DEGREE_CAP = 4096
 _degree_cap = DEFAULT_DEGREE_CAP
 
@@ -141,6 +144,10 @@ class Poly2:
 
     def coeff(self, i: int, j: int) -> Fraction:
         return Fraction(self._n.get((i, j), 0), self._d)
+
+    def integer_form(self) -> tuple[dict[Monomial, int], int]:
+        """(c, d) with self = sum of c[i, j] * x^i * y^j / d, c integral, d >= 1."""
+        return dict(self._n), self._d
 
     def __len__(self) -> int:
         return len(self._n)
@@ -277,8 +284,25 @@ class Poly2:
         return Fraction(*self._scaled_value(x, y))
 
     def vanishes_at(self, x: Scalar, y: Scalar) -> bool:
-        """self(x, y) == 0, read off the numerator: no Fraction, no gcd."""
-        return self._scaled_value(x, y)[0] == 0
+        """self(x, y) == 0, decided exactly with no Fraction and no gcd.
+
+        The numerator of _scaled_value is xd^dx * yd^dy * sum c_ij x^i y^j.
+        When the prime Q = 2^61 - 1 divides neither denominator, that is
+        zero modulo Q exactly when the sum is, with x and y read modulo Q.
+        A nonzero residue therefore proves the value nonzero; a zero one
+        (or a denominator divisible by Q) falls back to the integer sum.
+        """
+        qx, qy = as_fraction(x), as_fraction(y)
+        xd, yd = qx.denominator % RESIDUE_PRIME, qy.denominator % RESIDUE_PRIME
+        if xd and yd:
+            rx = qx.numerator * pow(xd, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+            ry = qy.numerator * pow(yd, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+            acc = 0
+            for (i, j), c in self._n.items():
+                acc += c * pow(rx, i, RESIDUE_PRIME) * pow(ry, j, RESIDUE_PRIME)
+            if acc % RESIDUE_PRIME:
+                return False
+        return self._scaled_value(qx, qy)[0] == 0
 
     def _scaled_value(self, x: Scalar, y: Scalar) -> tuple[int, int]:
         """(num, den) with self(x, y) = num / den and den > 0, unreduced.
@@ -294,10 +318,10 @@ class Poly2:
         dy = max(j for _, j in self._n)
         xn, xd = qx.numerator, qx.denominator
         yn, yd = qy.numerator, qy.denominator
-        px = _power_table(xn, dx)
-        qxp = _power_table(xd, dx)
-        py = _power_table(yn, dy)
-        qyp = _power_table(yd, dy)
+        px = power_table(xn, dx)
+        qxp = power_table(xd, dx)
+        py = power_table(yn, dy)
+        qyp = power_table(yd, dy)
         acc = 0
         for (i, j), c in self._n.items():
             acc += c * px[i] * qxp[dx - i] * py[j] * qyp[dy - j]
@@ -369,7 +393,7 @@ def _format_monomial(k: Monomial) -> str:
     return "*".join(pieces)
 
 
-def _power_table(base: int, top: int) -> list[int]:
+def power_table(base: int, top: int) -> list[int]:
     out = [1] * (top + 1)
     for k in range(1, top + 1):
         out[k] = out[k - 1] * base

@@ -34,8 +34,7 @@ PLACES = ["inf", "2"]
 N, K, M, BIT_GUARD = 60, 4, 20, 2000
 
 
-@pytest.fixture
-def config_file(tmp_path):
+def write_config(tmp_path, M=M) -> str:
     paths = []
     for name, spec in MAPS.items():
         path = tmp_path / f"{name}.json"
@@ -54,7 +53,12 @@ def config_file(tmp_path):
     return str(path)
 
 
-def item_on_its_own(map_path, curve, pt, place) -> dict:
+@pytest.fixture
+def config_file(tmp_path):
+    return write_config(tmp_path)
+
+
+def item_on_its_own(map_path, curve, pt, place, M=M) -> dict:
     """One item from dml_classify and local_dml_probe, with no sharing."""
     f, C = load_map(map_path), Curve.from_string(curve)
     p, v = Point(*parse_point(pt)), Place.parse(place)
@@ -78,7 +82,7 @@ def item_on_its_own(map_path, curve, pt, place) -> dict:
 
 def items_on_their_own(cfg) -> list[dict]:
     return [
-        item_on_its_own(m, c, p, v)
+        item_on_its_own(m, c, p, v, M=cfg.M)
         for m in cfg.maps for c in cfg.curves for p in cfg.points for v in cfg.places
     ]
 
@@ -93,6 +97,22 @@ def test_items_equal_those_computed_on_their_own(config_file):
             "undetermined", "finite_visits"} <= verdicts
     assert any(it["dml"]["guards"]["orbit_guard_hit"] for it in items)
     assert {it["local"] is None for it in items} == {True, False}
+
+
+def test_local_orbit_beyond_the_classify_horizon(tmp_path, monkeypatch):
+    """With M > N the local-probe orbit is no prefix and runs on its own."""
+    horizons = []
+    original = cli.orbit
+
+    def counted(f, p, n, *args):
+        horizons.append(n)
+        return original(f, p, n, *args)
+
+    monkeypatch.setattr(cli, "orbit", counted)
+    cfg, inputs = load_batch(write_config(tmp_path, M=N + 10))
+    assert run_batch(cfg, inputs) == items_on_their_own(cfg)
+    assert sorted(set(horizons)) == [N, N + 10]
+    assert horizons.count(N + 10) == 2 * len(POINTS)  # the triangular maps
 
 
 def test_shared_stage_errors_reach_every_item(config_file, monkeypatch):
@@ -180,9 +200,9 @@ def test_each_result_computed_once(config_file, tmp_path, monkeypatch):
     n_maps, n_triangular = len(MAPS), 2
     n_c, n_p, n_v = len(CURVES), len(POINTS), len(PLACES)
     horizons = [args[2] for args in calls["orbit"]]
-    assert horizons.count(N) == n_maps * n_p  # classify orbits
-    assert horizons.count(M) == n_triangular * n_p  # local-probe orbits
-    assert len(horizons) == (n_maps + n_triangular) * n_p
+    # one classify orbit per (map, point); with M <= N each local-probe
+    # orbit is a prefix of it and runs no orbit of its own
+    assert horizons == [N] * (n_maps * n_p)
     assert len(calls["classify"]) == n_maps * n_p * n_c
     assert len(calls["from_map"]) == n_maps
     assert len(calls["basin"]) == n_triangular * n_p * n_v

@@ -1,5 +1,7 @@
 """Orbits, visit sets, progression decomposition, dichotomy classification."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from dmlwb.curves import Curve
 from dmlwb.dml import (
     APSet,
+    OrbitResult,
     _curve_period_capped,
     ap_decompose,
     dml_classify,
@@ -16,7 +19,7 @@ from dmlwb.dml import (
 )
 from dmlwb.maps import Point, PolyMap, iterate_map, point
 from dmlwb.parsing import parse_poly
-from dmlwb.poly import get_degree_cap, set_degree_cap
+from dmlwb.poly import Poly2, get_degree_cap, set_degree_cap
 
 
 def pmap(f1: str, f2: str) -> PolyMap:
@@ -67,6 +70,68 @@ class TestOrbit:
         res = orbit(f, point(1, 2), 6)
         for n in range(7):
             assert res.point_at(n) == iterate_map(f, n).apply(point(1, 2))
+
+
+def orbit_by_apply(f: PolyMap, p: Point, N: int, bit_guard: int) -> OrbitResult:
+    """The orbit loop with one PolyMap.apply per step, for reference."""
+    seen, points, current = {p: 0}, [p], p
+    for k in range(1, N + 1):
+        current = f.apply(current)
+        if any(max(q.numerator.bit_length(), q.denominator.bit_length()) > bit_guard
+               for q in current):
+            return OrbitResult(tuple(points), None, True, N)
+        if current in seen:
+            return OrbitResult(tuple(points), (seen[current], k - seen[current]), False, N)
+        seen[current] = k
+        points.append(current)
+    return OrbitResult(tuple(points), None, False, N)
+
+
+small_coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def quadratic_maps(draw):
+    monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    return PolyMap(*(
+        Poly2.from_terms({k: draw(small_coeffs) for k in monomials
+                          if draw(st.booleans())})
+        for _ in range(2)
+    ))
+
+
+# one cycling, one guard-hit and one plain (horizon-bounded) orbit
+PREFIX_CASES = [
+    (pmap("x^2 - 1", "1 - y"), point(1, 3), 12, 10**6),
+    (pmap("y", "y^2 - x + 1/3"), point(1, 2), 30, 200),
+    (pmap("x + 1", "1/2*y"), point(0, 3), 9, 10**6),
+]
+
+
+class TestOrbitKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(quadratic_maps(), small_coeffs, small_coeffs,
+           st.integers(0, 10), st.sampled_from([4, 16, 64, 10**6]))
+    def test_matches_the_apply_loop(self, f, x0, y0, N, bit_guard):
+        p = Point(x0, y0)
+        assert orbit(f, p, N, bit_guard) == orbit_by_apply(f, p, N, bit_guard)
+
+    @pytest.mark.parametrize("f, p, N, bit_guard", PREFIX_CASES)
+    def test_prefix_equals_the_shorter_orbit(self, f, p, N, bit_guard):
+        full = orbit(f, p, N, bit_guard)
+        for M in range(N + 1):
+            assert full.prefix(M) == orbit(f, p, M, bit_guard)
+
+    def test_prefix_cases_cover_cycle_guard_and_plain(self):
+        kinds = [(res.cycle is not None, res.guard_hit)
+                 for res in (orbit(*case) for case in PREFIX_CASES)]
+        assert kinds == [(True, False), (False, True), (False, False)]
+
+    def test_prefix_outside_the_horizon(self):
+        res = orbit(pmap("x + 1", "y"), point(0, 0), 5)
+        for M in (-1, 6):
+            with pytest.raises(ValueError):
+                res.prefix(M)
 
 
 class TestVisitSet:

@@ -1,6 +1,8 @@
 """Plane maps, rational inverses, composition, serialization."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,11 +15,14 @@ from dmlwb.errors import (
     ZeroDenominatorError,
 )
 from dmlwb.maps import (
+    KERNEL_MAX_BITS,
+    STRIP_STEPS,
     Point,
     PolyMap,
     RatFunc,
     RationalMap,
     compose_map,
+    coprime_fraction,
     iterate_map,
     map_from_json_dict,
     map_to_json_dict,
@@ -142,6 +147,150 @@ class TestComposition:
         lhs = compose_map(compose_map(f, g), h)
         rhs = compose_map(f, compose_map(g, h))
         assert lhs.apply(p) == rhs.apply(p)
+
+
+def pmap(f1: str, f2: str) -> PolyMap:
+    return PolyMap(parse_poly(f1), parse_poly(f2))
+
+
+def applied(f: PolyMap, p: Point, n: int) -> list[Point]:
+    out = []
+    for _ in range(n):
+        p = f.apply(p)
+        out.append(p)
+    return out
+
+
+def assert_reduced_equal(got: list[Point], want: list[Point]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for u, v in zip(a, b):
+            assert (u.numerator, u.denominator) == (v.numerator, v.denominator)
+            assert u.denominator > 0 and math.gcd(u.numerator, u.denominator) == 1
+            assert hash(u) == hash(v)
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+coordinates = st.builds(
+    Fraction,
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 2**10, 3**5 * 7]),
+)
+
+
+@st.composite
+def small_maps(draw):
+    """Degree <= 2 maps with rational coefficients whose denominators share
+    the primes 2 and 3 with the coordinates drawn above."""
+    components = []
+    for _ in range(2):
+        monomials = draw(st.sets(
+            st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+            max_size=4,
+        ))
+        components.append(Poly2.from_terms(
+            {k: draw(coefficients) for k in monomials}
+        ))
+    return PolyMap(*components)
+
+
+class TestIterates:
+    """PolyMap.iterates against repeated apply: the same reduced Fractions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_maps(), coordinates, coordinates, st.integers(1, 5))
+    def test_matches_repeated_apply(self, f, x0, y0, n):
+        p = Point(x0, y0)
+        got = list(itertools.islice(f.iterates(p), n))
+        assert_reduced_equal(got, applied(f, p, n))
+
+    @pytest.mark.parametrize("f1, f2, x0, y0, n", [
+        # coefficient denominators share primes with the point
+        ("1/6*x + 1/4*y", "3/2*x*y - 5/9", "2/3", "-3/2", 8),
+        # coefficients carrying the point's primes in their numerators
+        ("4*x^2 + 1/2", "9*y - 12*x*y", "1/2", "5/3", 8),
+        # Hénon-like, denominators 3^(2^n)
+        ("y", "y^2 - x + 1/3", "1", "2", 12),
+        ("y", "y^2 - x", "1/2", "-3/4", 10),
+        # integer arithmetic only (m = 1)
+        ("2*x + 1", "x^3*y + x^5", "-1", "2", 10),
+        # zero values: x - y vanishes on the diagonal, y - y^2 at y = 1
+        ("x - y", "x*y + 1/3", "1/3", "1/3", 4),
+        ("y - y^2", "x", "5/6", "1", 4),
+        # tied top valuations whose sum cancels some of the prime
+        ("x^2 + y", "y", "1/4", "3/16", 3),
+    ])
+    def test_known_orbits(self, f1, f2, x0, y0, n):
+        f, p = pmap(f1, f2), point(Fraction(x0), Fraction(y0))
+        got = list(itertools.islice(f.iterates(p), n))
+        assert_reduced_equal(got, applied(f, p, n))
+
+    @pytest.mark.parametrize("y_num, expected", [
+        # 1/2^20 + (2^20 - 1)/2^20 = 1: twenty factors of 2 cancel
+        (2**20 - 1, Fraction(1)),
+        # 1/2^20 + (3 * 2^12 - 1)/2^20 = 3/2^8: twelve cancel
+        (3 * 2**12 - 1, Fraction(3, 2**8)),
+    ])
+    def test_strip_bound_fallback(self, y_num, expected, monkeypatch):
+        # more cancelled factors than single-digit strips: math.gcd finishes
+        assert STRIP_STEPS < 12
+        f = pmap("x^2 + y", "y")
+        p = point(Fraction(1, 2**10), Fraction(y_num, 2**20))
+        want = applied(f, p, 1)
+        gcds = []
+        original = math.gcd
+
+        def counted(*args):
+            gcds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(math, "gcd", counted)
+        got = next(f.iterates(p))
+        monkeypatch.undo()
+        assert got.x == expected
+        assert_reduced_equal([got], want)
+        # one gcd, with the power of 2 left after STRIP_STEPS divisions
+        assert [b for _, b in gcds] == [2**(20 - STRIP_STEPS)]
+
+    def test_zero_component(self):
+        f = PolyMap(Poly2.zero(), parse_poly("1/2*x"))
+        got = list(itertools.islice(f.iterates(point(Fraction(1, 3), 0)), 3))
+        assert got == [Point(0, Fraction(1, 6)), Point(0, 0), Point(0, 0)]
+
+    def test_kernel_does_not_call_apply(self, monkeypatch):
+        f = pmap("y", "y^2 - x + 1/3")
+        want = applied(f, point(1, 2), 6)
+        monkeypatch.setattr(PolyMap, "apply", None)
+        assert list(itertools.islice(f.iterates(point(1, 2)), 6)) == want
+
+    def test_wide_m_steps_with_apply(self, monkeypatch):
+        # lcm of the denominators above 64 bits: no factoring, plain apply
+        big = 2**KERNEL_MAX_BITS + 1
+        f = pmap("y + 1/3", "x*y")
+        p = point(Fraction(1, big), Fraction(5, 2))
+        want = applied(f, p, 5)
+        calls = []
+        original = PolyMap.apply
+
+        def counted(self, q):
+            calls.append(q)
+            return original(self, q)
+
+        monkeypatch.setattr(PolyMap, "apply", counted)
+        got = list(itertools.islice(f.iterates(p), 5))
+        assert_reduced_equal(got, want)
+        assert len(calls) == 5
+
+
+@pytest.mark.parametrize("n, d", [
+    (0, 1), (1, 1), (-7, 3), (3, 7), (2**70 + 1, 3**40), (-(3**50), 2**80 + 1),
+])
+def test_coprime_fraction_equals_fraction(n, d):
+    q = coprime_fraction(n, d)
+    assert type(q) is Fraction
+    assert (q.numerator, q.denominator) == (n, d)
+    assert q == Fraction(n, d) and hash(q) == hash(Fraction(n, d))
+    assert str(q) == str(Fraction(n, d))
 
 
 class TestSerialization:

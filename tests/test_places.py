@@ -1,5 +1,6 @@
 """Valuations, absolute values, heights, point enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -188,3 +189,26 @@ class TestGrowthProbe:
         f = PolyMap(parse_poly("x + 1"), parse_poly("y"))
         samples = height_growth_probe(f, point(0, 0), 2)
         assert samples[0].log_ratio is None
+
+    @pytest.mark.parametrize("f1, f2, x0, y0", [
+        ("y", "y^2 - x", "0", "3"),
+        ("y", "y^2 - x + 1/3", "1", "2"),
+        ("2*x + 1", "x^3*y + x^5", "-1/2", "2/3"),
+        ("1/6*x + 1/4*y", "3/2*x*y - 5/9", "2/3", "-3/2"),
+        ("-x", "-y", "5/7", "1"),
+    ])
+    def test_matches_the_apply_loop(self, f1, f2, x0, y0):
+        f = PolyMap(parse_poly(f1), parse_poly(f2))
+        p = point(Fraction(x0), Fraction(y0))
+        pts = [p]
+        for _ in range(7):
+            pts.append(f.apply(pts[-1]))
+        heights = [height_affine(q) for q in pts]
+        samples = height_growth_probe(f, p, 6)
+        assert [(s.n, s.height) for s in samples] == list(enumerate(heights[:7]))
+        for s in samples:
+            h, h_next = heights[s.n], heights[s.n + 1]
+            if h > 1 and h_next > 1:
+                assert s.log_ratio == math.log(h_next) / math.log(h)
+            else:
+                assert s.log_ratio is None

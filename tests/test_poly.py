@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dmlwb.errors import DegreeCapError, PolyParseError
 from dmlwb.parsing import parse_point, parse_poly, parse_ratfunc_pair
 from dmlwb.poly import (
+    RESIDUE_PRIME,
     Poly2,
     _divmod_x,
     _from_x_coeff_list,
@@ -127,6 +128,45 @@ class TestArithmetic:
         for q in (p, through, through * p):
             assert q.vanishes_at(x0, y0) == (q.evaluate(x0, y0) == 0)
         assert through.vanishes_at(x0, y0)
+
+    @settings(max_examples=100)
+    @given(polys(), st.data())
+    def test_vanishes_at_with_residue_collisions(self, p, data):
+        # coordinates and values that are 0 modulo Q but not 0
+        Q = RESIDUE_PRIME
+        special = st.sampled_from([
+            Fraction(Q), Fraction(-2 * Q), Fraction(1, Q), Fraction(Q, 2),
+            Fraction(3, 2 * Q), Fraction(Q + 1, Q), Fraction(0),
+        ])
+        x0 = data.draw(st.one_of(special, small_fracs))
+        y0 = data.draw(st.one_of(special, small_fracs))
+        shift = data.draw(st.sampled_from([0, Q, -Q, Fraction(Q, 3), 2**61]))
+        for q in (p, p - p.evaluate(x0, y0), p - p.evaluate(x0, y0) + shift):
+            assert q.vanishes_at(x0, y0) == (q.evaluate(x0, y0) == 0)
+
+    def test_residue_collision_is_not_a_zero(self):
+        # x - Q is 0 modulo Q at x = 0, and -Q != 0
+        q = parse_poly(f"x - {RESIDUE_PRIME}")
+        assert not q.vanishes_at(0, 5)
+        assert q.vanishes_at(RESIDUE_PRIME, 5)
+
+    def test_denominator_divisible_by_the_residue_prime(self):
+        Q = RESIDUE_PRIME
+        q = parse_poly(f"{Q}*x*y - y")
+        assert q.vanishes_at(Fraction(1, Q), 7)
+        assert not q.vanishes_at(Fraction(2, Q), 7)
+        assert not q.vanishes_at(Fraction(1, 3 * Q), Fraction(5, 2 * Q))
+
+    def test_nonzero_residue_skips_the_integer_sum(self, monkeypatch):
+        q = parse_poly("y^2 - x^3 + 1/3")
+        x0, y0 = Fraction(3**40 + 1, 2**50), Fraction(-(7**30), 5**20)
+        expected = q.evaluate(x0, y0) == 0
+
+        def no_exact_sum(*args):
+            raise AssertionError("exact path taken")
+
+        monkeypatch.setattr(Poly2, "_scaled_value", no_exact_sum)
+        assert q.vanishes_at(x0, y0) is expected is False
 
     def test_degree_bookkeeping(self):
         p = parse_poly("x^3*y^2 + x")
