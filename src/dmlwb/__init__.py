@@ -34,7 +34,6 @@ from .degrees import (
     DegreeEstimate,
     DegreeProfile,
     StabilityVerdict,
-    algebraic_degree,
     degree_sequence,
     dynamical_degree_estimate,
     is_algebraically_stable_P2,
@@ -47,11 +46,9 @@ from .dml import (
     dml_classify,
     orbit,
     visit_set,
-    visit_set_with_orbit,
 )
 from .errors import (
     ChartDomainError,
-    CoefficientGuardError,
     ContractionError,
     DegreeCapError,
     DmlwbError,
@@ -71,11 +68,9 @@ from .hirzebruch import (
     chart_around_Q,
     contracted_image_check,
     embed_A2,
-    extend_to_fn,
     fixed_point_Q,
     indeterminacy_fn,
     indeterminacy_point,
-    normalize_fn_point,
     stability_threshold,
     triangular_parts,
 )
@@ -87,7 +82,6 @@ from .maps import (
     compose_map,
     iterate_map,
     load_map,
-    dump_map,
     point,
     verify_inverse,
 )
@@ -107,7 +101,6 @@ from .places import (
     embed_P2,
     height_affine,
     height_growth_probe,
-    height_proj,
     northcott_enumerate,
     ord_p,
     product_formula_check,

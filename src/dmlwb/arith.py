@@ -1,4 +1,4 @@
-"""Integer primality and factorization used by the places machinery."""
+"""Integer primality, factorization and valuations."""
 
 from __future__ import annotations
 
@@ -12,6 +12,15 @@ _SMALL_PRIMES = [
 # Strong-pseudoprime bases proving primality for all n < 3317044064679887385961981
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 _MR_PROVEN_BOUND = 3317044064679887385961981
+
+
+def valuation(n: int, q: int) -> int:
+    """Exponent of the prime q in the nonzero integer n."""
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:

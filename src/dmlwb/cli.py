@@ -9,6 +9,7 @@ errors (indeterminacy, contraction, guards), 2 usage and config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -429,11 +430,6 @@ def load_batch(path: str) -> tuple[ExperimentConfig, BatchInputs]:
     return cfg, inputs
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
-    """Load and fully validate a batch config; any defect is a usage error."""
-    return load_batch(path)[0]
-
-
 _FAILURES = (DmlwbError, ValueError)
 
 
@@ -483,23 +479,24 @@ def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
 
     Each result is computed at most once, at the level it depends on,
     and only when an item reads it: the F_n model per map; the orbit of
-    each point to N (and, for a triangular map, to M for the local
-    probe, read off the first when M <= N and the model's affine map is
-    f itself) per (map, point); the classification per (map, point, curve);
-    the basin probe per (map, point, place); the local verdict per item.
-    Only one (map, point) group's orbits are alive at a time.  The work
-    is pure-Python exact arithmetic, so it runs serially in this process.
+    each point to N, and for a triangular map to M for the local probe
+    (read off the first when M <= N), per (map, point); the
+    classification per (map, point, curve); the basin probe per
+    (map, point, place); the local verdict per item.  A map is
+    triangular exactly when its model exists, and the model's affine
+    map is then f itself, so the local probe steps f.  Only one
+    (map, point) group's orbits are alive at a time.  The work is
+    pure-Python exact arithmetic, so it runs serially in this process.
     """
     n_c, n_p, n_v = len(inputs.curves), len(inputs.points), len(inputs.places)
     reports: list = [None] * (len(inputs.maps) * n_c * n_p * n_v)
     for i_m, f in enumerate(inputs.maps):
         model = _once(lambda: FnModel.from_map(f))
-        f_local = _once(lambda: model().affine_map())
         for i_p, p in enumerate(inputs.points):
             res = _once(lambda: orbit(f, p, cfg.N, cfg.bit_guard))
             local_res = _once(lambda: (
-                res().prefix(cfg.M) if cfg.M <= cfg.N and f_local() == f
-                else orbit(f_local(), p, cfg.M, cfg.bit_guard)
+                res().prefix(cfg.M) if cfg.M <= cfg.N
+                else orbit(f, p, cfg.M, cfg.bit_guard)
             ))
             basins = [
                 _once(lambda v=v: basin_probe(model(), p, None, v, cfg.M))
@@ -517,21 +514,16 @@ def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
                         "place": cfg.places[i_v],
                     }
                     slot = ((i_m * n_c + i_c) * n_p + i_p) * n_v + i_v
+                    # basin() reads the model first, so a map that is not
+                    # triangular raises NotTriangularError before the local orbit
                     reports[slot] = _item_report(names, dml, lambda: local_verdict(
-                        f_local(), C, basin(), local_res()
+                        f, C, basin(), local_res()
                     ))
     return reports
 
 
 def _cmd_batch(args) -> tuple[dict, list[dict], list[str]]:
     cfg, inputs = load_batch(args.config)
-    # --jobs and DMLWB_JOBS are validated but do not change the run
-    env_jobs = os.environ.get("DMLWB_JOBS")
-    if env_jobs is not None:
-        try:
-            _positive_int(env_jobs)
-        except ValueError as exc:
-            raise UsageError(f"DMLWB_JOBS: {exc}") from exc
     results = run_batch(cfg, inputs)
     # main writes to args.out; the config's path is the fallback
     if args.out is None:
@@ -548,7 +540,9 @@ def _cmd_batch(args) -> tuple[dict, list[dict], list[str]]:
 
 # -- parser wiring ---------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dmlwb",
         description="exact workbench for plane polynomial dynamics",
@@ -630,7 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run an experiment config")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="accepted for compatibility and ignored: "
+                        "the batch runs serially")
     p.add_argument("--out", help="override the config's output path")
     p.set_defaults(handler=_cmd_batch)
 
@@ -638,8 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         command = args.command
         if command == "dml":

@@ -63,11 +63,6 @@ class StabilityVerdict:
         return f"unstable_at({self.unstable_at})"
 
 
-def algebraic_degree(f: PolyMap) -> int:
-    """max(deg f1, deg f2); 0 for a constant map."""
-    return f.algebraic_degree()
-
-
 def _top_part(p: Poly2, d: int) -> Poly2:
     """The homogeneous degree-d part of p (zero when deg p < d)."""
     return Poly2.from_terms({k: c for k, c in p.terms() if k[0] + k[1] == d})

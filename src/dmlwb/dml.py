@@ -142,22 +142,11 @@ def visit_set(
     """Sorted n in [0, N] with f^n(p) on C (exact vanishing).
 
     Cycling orbits are extended symbolically to the full horizon; a
-    tripped orbit guard propagates as truncated data, so prefer
-    visit_set_with_orbit when the completeness of the scan matters.
+    tripped orbit guard propagates as truncated data, so when the
+    completeness of the scan matters, call orbit and orbit_visits and
+    read the orbit's guard_hit.
     """
-    return visit_set_with_orbit(f, p, C, N, bit_guard)[0]
-
-
-def visit_set_with_orbit(
-    f: PolyMap,
-    p: Point,
-    C: Curve,
-    N: int,
-    bit_guard: int = DEFAULT_BIT_GUARD,
-) -> tuple[list[int], OrbitResult]:
-    """visit_set plus the underlying orbit (for guard inspection)."""
-    res = orbit(f, p, N, bit_guard)
-    return orbit_visits(res, C), res
+    return orbit_visits(orbit(f, p, N, bit_guard), C)
 
 
 @dataclass(frozen=True)

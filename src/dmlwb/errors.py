@@ -23,10 +23,6 @@ class DegreeCapError(DmlwbError):
     """An operation would exceed the configured total-degree cap."""
 
 
-class CoefficientGuardError(DmlwbError):
-    """A coefficient grew past the configured bit bound."""
-
-
 class ZeroDenominatorError(DmlwbError):
     """A rational function with identically zero denominator was formed."""
 

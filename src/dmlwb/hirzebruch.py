@@ -78,11 +78,6 @@ class FnPoint:
         return f"FnPoint({self})"
 
 
-def normalize_fn_point(raw: Sequence, n: int) -> FnPoint:
-    """Canonical representative of a raw quadruple (idempotent)."""
-    return FnPoint(n, raw)
-
-
 def embed_A2(p: Point, n: int) -> FnPoint:
     """The embedding (x, y) -> [x, 1, y, 1], canonicalized."""
     return FnPoint(n, (p.x, 1, p.y, 1))
@@ -268,11 +263,6 @@ class FnModel:
         )
 
     __repr__ = __str__
-
-
-def extend_to_fn(a, b, A: Poly2, B: Poly2, n: int) -> FnModel:
-    """Build the degree-n ruled-surface model directly from triangular data."""
-    return FnModel(a, b, A, B, n)
 
 
 def apply_fn(m: FnModel, P: FnPoint) -> FnPoint:

@@ -61,7 +61,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from .arith import factorize
+from .arith import factorize, valuation
 from .errors import (
     IndeterminacyError,
     InverseVerificationError,
@@ -202,9 +202,6 @@ class RationalMap:
             self.g2.substitute(other.g1, other.g2),
         )
 
-    def is_identity(self) -> bool:
-        return self.g1 == _RF_X and self.g2 == _RF_Y
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMap):
             return NotImplemented
@@ -270,9 +267,6 @@ class PolyMap:
         """max(deg f1, deg f2); a constant map, (0, 0) included, has degree 0."""
         return int(max(0, self.f1.total_degree(), self.f2.total_degree()))
 
-    def as_rational_map(self) -> RationalMap:
-        return RationalMap(RatFunc.from_poly(self.f1), RatFunc.from_poly(self.f2))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMap):
             return NotImplemented
@@ -285,18 +279,9 @@ class PolyMap:
         return f"PolyMap({self})"
 
 
-def _valuation(n: int, q: int) -> int:
-    """Exponent of the prime q in the nonzero integer n."""
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
-
-
 def _split(value: Fraction, primes: tuple[int, ...]) -> tuple[int, list[int]]:
     """(X, alpha) with value = X / prod q^alpha_q (the denominator's primes)."""
-    return value.numerator, [_valuation(value.denominator, q) for q in primes]
+    return value.numerator, [valuation(value.denominator, q) for q in primes]
 
 
 def _term_table(nums: dict, d: int, primes: tuple[int, ...]):
@@ -307,9 +292,9 @@ def _term_table(nums: dict, d: int, primes: tuple[int, ...]):
     offsets = [[] for _ in primes]
     for (i, j), c in nums.items():
         for q, offs in zip(primes, offsets):
-            g = _valuation(c, q)
+            g = valuation(c, q)
             c //= q**g
-            offs.append(_valuation(d, q) - g)
+            offs.append(valuation(d, q) - g)
         terms.append((c, i, j))
     return terms, offsets
 
@@ -335,7 +320,7 @@ def _component(table, px, py, alpha, beta, primes) -> tuple[int, list[int]]:
             if steps == STRIP_STEPS:
                 g = math.gcd(n, q**left)
                 n //= g
-                left -= _valuation(g, q)
+                left -= valuation(g, q)
                 break
             n //= q
             left -= 1
@@ -427,9 +412,3 @@ def map_from_json_dict(data: dict) -> PolyMap:
 def load_map(path: str) -> PolyMap:
     with open(path, "r", encoding="utf-8") as fh:
         return map_from_json_dict(json.load(fh))
-
-
-def dump_map(f: PolyMap, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_to_json_dict(f), fh, indent=2)
-        fh.write("\n")

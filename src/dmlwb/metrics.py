@@ -148,9 +148,6 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
         )
         qu, qw = chart_around_Q(Q)
 
-        def step(P):
-            return model.apply(P)
-
         def distance(P):
             try:
                 u, w = chart_around_Q(P)
@@ -174,9 +171,6 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
             "planar probe: indeterminacy-side hypotheses on Q are unverified"
         )
 
-        def step(P):
-            return model.apply(P)
-
         def distance(P):
             return metric_dv(embed_P2(P), q_proj, v)
 
@@ -184,16 +178,13 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
         raise TypeError("basin_probe expects an FnModel or a PolyMap")
 
     samples: list[MetricSample] = []
+
+    def report(verdict: str, at: Optional[int]) -> BasinReport:
+        return BasinReport(verdict, at, tuple(samples), v, eps, tuple(notes))
+
     for n in range(N + 1):
         if current == Q:
-            return BasinReport(
-                verdict="reached_Q",
-                at=n,
-                samples=tuple(samples),
-                place=v,
-                eps=eps,
-                notes=tuple(notes),
-            )
+            return report("reached_Q", n)
         dist = distance(current)
         if dist is None:
             notes.append(f"step {n}: point outside the chart around Q")
@@ -205,34 +196,14 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
         samples.append(MetricSample(n, dist, below))
         at = _certified_at(samples)
         if at is not None:
-            return BasinReport(
-                verdict="converged_at",
-                at=at,
-                samples=tuple(samples),
-                place=v,
-                eps=eps,
-                notes=tuple(notes),
-            )
+            return report("converged_at", at)
         if n < N:
             try:
-                current = step(current)
+                current = model.apply(current)
             except IndeterminacyError:
-                return BasinReport(
-                    verdict="hit_indeterminacy",
-                    at=n + 1,
-                    samples=tuple(samples),
-                    place=v,
-                    eps=eps,
-                    notes=tuple(notes) + (f"indeterminate image at step {n + 1}",),
-                )
-    return BasinReport(
-        verdict="not_converged",
-        at=None,
-        samples=tuple(samples),
-        place=v,
-        eps=eps,
-        notes=tuple(notes),
-    )
+                notes.append(f"indeterminate image at step {n + 1}")
+                return report("hit_indeterminacy", n + 1)
+    return report("not_converged", None)
 
 
 @dataclass(frozen=True)

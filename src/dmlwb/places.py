@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, valuation
 from .errors import ResourceCapError
 from .maps import Point, PolyMap
 from .poly import as_fraction
@@ -63,16 +63,7 @@ def ord_p(x: RatLike, p: int) -> int:
     q = as_fraction(x)
     if q == 0:
         raise ValueError("ord_p(0) is +infinity; handle zero separately")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return valuation(q.numerator, p) - valuation(q.denominator, p)
 
 
 def abs_value(x: RatLike, v: Place) -> Fraction:
@@ -161,10 +152,6 @@ class ProjPoint:
 def embed_P2(p: Point) -> ProjPoint:
     """Affine plane into the projective plane, (x, y) -> [1:x:y]."""
     return ProjPoint([1, p.x, p.y])
-
-
-def height_proj(p: ProjPoint) -> int:
-    return p.height()
 
 
 def height_affine(p: Point) -> int:

@@ -349,15 +349,6 @@ class Poly2:
             raise ValueError(f"unknown variable {name!r}")
         return Poly2(nums, self._d)
 
-    def max_coeff_bits(self) -> int:
-        """Bit length of the largest numerator or the denominator."""
-        bits = self._d.bit_length()
-        for v in self._n.values():
-            b = v.bit_length()
-            if b > bits:
-                bits = b
-        return bits
-
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
@@ -405,10 +396,6 @@ def _poly_power_table(base: Poly2, top: int) -> list[Poly2]:
     for _ in range(top):
         out.append(out[-1] * base)
     return out
-
-
-X = Poly2.variable("x")
-Y = Poly2.variable("y")
 
 
 # -- substitution with rational arguments ---------------------------------

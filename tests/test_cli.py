@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dmlwb.cli import load_experiment_config, main
+from dmlwb.cli import build_parser, load_batch, main
 
 HENON = {"f1": "y", "f2": "y^2 - x"}
 TRIANG = {"f1": "2*x", "f2": "x^3*y + x^5"}
@@ -57,6 +57,33 @@ class TestEnvelope:
         assert captured.out == ""
         doc = json.loads(out.read_text())
         assert doc["command"] == "degrees"
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_successive_calls_repeat_their_output(self, capsys, triang_file,
+                                                   flip_file, tmp_path):
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps({
+            "maps": [triang_file, flip_file], "curves": ["y - 1"],
+            "points": ["1,1"], "horizons": {"N": 20, "K": 3, "M": 10},
+        }))
+        calls = [
+            ["degrees", "--map", triang_file, "--horizon", "4"],
+            ["dml", "scan", "--map", flip_file, "--curve", "y - 1",
+             "--point", "0,1", "--horizon", "20", "--max-period", "3"],
+            ["batch", "--config", str(cfg), "--jobs", "2"],
+        ]
+        first = []
+        for argv in calls + calls[:1]:
+            assert main(argv) == 0
+            first.append(capsys.readouterr().out)
+        assert first[3] == first[0]
+        for argv, out in zip(calls, first):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
 
 
 class TestDegrees:
@@ -288,10 +315,6 @@ class TestBatch:
         assert main(["batch", "--config", config_file, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_bad_env_jobs(self, capsys, config_file, monkeypatch):
-        monkeypatch.setenv("DMLWB_JOBS", "zero")
-        assert main(["batch", "--config", config_file]) == 2
-
     def test_config_out_used_when_flag_absent(self, tmp_path, triang_file, capsys):
         target = tmp_path / "from_config.json"
         cfg = {
@@ -333,11 +356,11 @@ class TestBatch:
         assert main(["batch", "--config", str(path)]) == 2
         assert "file paths" in capsys.readouterr().err
 
-    def test_load_experiment_config_defaults(self, tmp_path, triang_file):
+    def test_load_batch_defaults(self, tmp_path, triang_file):
         cfg = {"maps": [triang_file], "curves": ["y"], "points": ["0,0"]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        loaded = load_experiment_config(str(path))
+        loaded = load_batch(str(path))[0]
         assert loaded.places == ("inf",)
         assert loaded.N == 200 and loaded.K == 12
         assert loaded.bit_guard == 10**6

@@ -14,8 +14,8 @@ from dmlwb.dml import (
     ap_decompose,
     dml_classify,
     orbit,
+    orbit_visits,
     visit_set,
-    visit_set_with_orbit,
 )
 from dmlwb.maps import Point, PolyMap, iterate_map, point
 from dmlwb.parsing import parse_poly
@@ -155,9 +155,8 @@ class TestVisitSet:
         assert visits == list(range(0, 1002, 2))
 
     def test_with_orbit_exposes_guard(self):
-        visits, res = visit_set_with_orbit(
-            pmap("x^2", "y"), point(2, 1), curve("y - 1"), 50, bit_guard=16
-        )
+        res = orbit(pmap("x^2", "y"), point(2, 1), 50, bit_guard=16)
+        visits = orbit_visits(res, curve("y - 1"))
         assert res.guard_hit
         assert visits == list(range(res.last_computed + 1))
 

@@ -19,16 +19,15 @@ from dmlwb.hirzebruch import (
     chart_around_Q,
     contracted_image_check,
     embed_A2,
-    extend_to_fn,
     fixed_point_Q,
     indeterminacy_fn,
     indeterminacy_point,
-    normalize_fn_point,
     stability_threshold,
     triangular_parts,
 )
 from dmlwb.maps import PolyMap, point
 from dmlwb.parsing import parse_poly
+from dmlwb.poly import Poly2
 
 
 def tri_map() -> PolyMap:
@@ -38,12 +37,25 @@ def tri_map() -> PolyMap:
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
+def x_poly(coeffs) -> Poly2:
+    """sum of coeffs[i] * x^i."""
+    return Poly2.from_terms({(i, 0): c for i, c in enumerate(coeffs)})
+
+
+# the coefficients of A(x), of degree 1 to 4 (nonzero top coefficient)
+a_coeffs = st.builds(
+    lambda low, top: [*low, top],
+    st.lists(small_fracs, min_size=1, max_size=4),
+    small_fracs.filter(lambda q: q != 0),
+)
+
+
 class TestFnPoint:
     def test_normalization_example(self):
         # [2, 4, 1, 8] on F_2: dividing the base pair by 2 twists x4 by 2^2
-        P = normalize_fn_point([2, 4, 1, 8], 2)
+        P = FnPoint(2, [2, 4, 1, 8])
         assert P.coords == (1, 2, 1, 32)
-        assert P == normalize_fn_point([1, 2, 1, 32], 2)
+        assert P == FnPoint(2, [1, 2, 1, 32])
 
     def test_twist_weight(self):
         # scaling (x1, x2) by lambda multiplies x4 by lambda^(-n)
@@ -81,7 +93,7 @@ class TestFnPoint:
         assert base == scaled
 
     def test_chart_example(self):
-        P = normalize_fn_point([1, 2, 1, 32], 2)
+        P = FnPoint(2, [1, 2, 1, 32])
         assert chart_around_Q(P) == (2, 32)
 
     def test_chart_at_Q_is_origin(self):
@@ -175,6 +187,19 @@ class TestFnModel:
         p = point(2, 3)
         assert m.apply(embed_A2(p, 1)) == embed_A2(f.apply(p), 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_fracs.filter(lambda q: q != 0),
+        small_fracs,
+        a_coeffs,
+        st.one_of(st.just([]), st.lists(small_fracs, min_size=1, max_size=6)),
+    )
+    def test_affine_map_rebuilds_the_map(self, a, b, A, B):
+        # run_batch relies on this: its local probe steps f itself
+        x, y = Poly2.variable("x"), Poly2.variable("y")
+        f = PolyMap(x * a + b, x_poly(A) * y + x_poly(B))
+        assert FnModel.from_map(f).affine_map() == f
+
     def test_point_model_surface_mismatch(self):
         m = FnModel.from_map(tri_map(), 3)
         with pytest.raises(ValueError):
@@ -195,14 +220,14 @@ class TestLoci:
     def test_contracted_image_check_above_threshold(self):
         assert contracted_image_check(FnModel.from_map(tri_map(), 5))
 
-    def test_extend_to_fn_matches_from_map(self):
+    def test_constructor_matches_from_map(self):
         x = parse_poly("x")
-        m1 = extend_to_fn(2, 0, x**3, x**5, 3)
+        m1 = FnModel(2, 0, x**3, x**5, 3)
         m2 = FnModel.from_map(tri_map(), 3)
         assert (m1.a, m1.b, m1.A, m1.B, m1.n) == (m2.a, m2.b, m2.A, m2.B, m2.n)
 
     def test_pure_A_case(self):
         # B = 0: threshold 0, model on F_0 already stable
-        m = extend_to_fn(1, 0, parse_poly("x^2"), parse_poly("0"), 0)
+        m = FnModel(1, 0, parse_poly("x^2"), parse_poly("0"), 0)
         assert m.is_stable and m.threshold == 0
         assert contracted_image_check(m)

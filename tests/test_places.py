@@ -18,7 +18,6 @@ from dmlwb.places import (
     embed_P2,
     height_affine,
     height_growth_probe,
-    height_proj,
     northcott_enumerate,
     ord_p,
     product_formula_check,
@@ -131,8 +130,8 @@ class TestHeights:
     def test_height_examples(self):
         assert height_affine(point("3/2", 5)) == 10
         assert height_affine(point(0, 0)) == 1
-        assert height_proj(ProjPoint([1, 1])) == 1
-        assert height_proj(ProjPoint([Fraction(2, 3), 5])) == 15
+        assert ProjPoint([1, 1]).height() == 1
+        assert ProjPoint([Fraction(2, 3), 5]).height() == 15
 
     def test_embed(self):
         assert embed_P2(point("1/2", "1/3")).coords == (6, 3, 2)
