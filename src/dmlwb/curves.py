@@ -2,9 +2,31 @@
 
 Curves are reduced: the stored equation is the product of the distinct
 irreducible factors (primitive, positive leading coefficient), so curve
-equality is plain equation equality.  Irreducible factorization over Q
-is delegated to sympy; everything dynamical (transforms, divisibility,
-the multiplicity recursion) is computed on our own exact polynomials.
+equality is plain equation equality.  Everything dynamical (transforms,
+divisibility, the multiplicity recursion) is computed on our own exact
+polynomials.
+
+Irreducible factorization over Q is exact here for three shapes of p,
+and delegated to sympy (imported on first use) for every other one:
+
+1. Total degree 1.  A factorization has a factor of degree 0, a
+   constant, so p is irreducible.
+2. a(x)*y + b(x).  In (Q[x])[y], Gauss's lemma makes p the product of
+   its content g = gcd(a, b) and a primitive part of y-degree 1; a
+   primitive polynomial of y-degree 1 is irreducible, since any proper
+   factor would lie in Q[x] and divide the content.  So p is irreducible
+   iff g is constant; a nonconstant g still has to be factored in Q[x],
+   and that goes to sympy.
+3. c*y^2 + B(x)*y + E(x) with c a nonzero constant.  A factor of
+   y-degree 0 divides the y-leading coefficient c, so it is constant:
+   p is reducible iff it splits as c*(y - r1)*(y - r2) with r1, r2 in
+   Q[x].  Then B^2 - 4cE = (c*(r1 - r2))^2, so p is reducible iff
+   D = B^2 - 4cE is a square S^2 in Q[x], and the factors are
+   2c*y + B - S and 2c*y + B + S (one factor of multiplicity 2 when
+   D = 0).  Each has y-degree 1 and a constant y-leading coefficient,
+   hence is irreducible.  The square root is computed coefficient by
+   coefficient from the top and accepted only when S*S == D holds
+   exactly.
 
 Strict transforms follow the substitute-and-strip recipe: substitute
 the supplied rational map, clear denominators minimally, and remove the
@@ -22,14 +44,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import sympy
-
 from .errors import ContractionError, DmlwbError, MissingInverseError
 from .hirzebruch import FnModel
 from .maps import Point, PolyMap, RationalMap
 from .parsing import parse_poly
 from .poly import (
     Poly2,
+    _from_x_coeff_list,
+    _gcd_x,
+    _x_coeff_list,
     compose_rational,
     divide_by_y,
     divides,
@@ -41,17 +64,18 @@ from .poly import (
     y_coefficients,
 )
 
-_SX, _SY = sympy.symbols("x y")
-
-
 def _to_sympy(p: Poly2):
+    import sympy
+
     rep = {
         (i, j): sympy.Rational(c.numerator, c.denominator) for (i, j), c in p.terms()
     }
-    return sympy.Poly.from_dict(rep, _SX, _SY, domain="QQ")
+    return sympy.Poly.from_dict(rep, *sympy.symbols("x y"), domain="QQ")
 
 
 def _from_sympy(sp) -> Poly2:
+    import sympy
+
     terms = {}
     for monom, coeff in sp.terms():
         q = sympy.Rational(coeff)
@@ -59,16 +83,75 @@ def _from_sympy(sp) -> Poly2:
     return Poly2.from_terms(terms)
 
 
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The nonnegative rational square root of q, or None."""
+    if q < 0:
+        return None
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if a * a != q.numerator or b * b != q.denominator:
+        return None
+    return Fraction(a, b)
+
+
+def _sqrt_x(D: Poly2) -> Optional[Poly2]:
+    """S in Q[x] with S*S == D for a nonzero univariate-in-x D, or None.
+
+    With deg D = 2m and S = s_0 + ... + s_m x^m, the coefficient of
+    x^(m+k) in S^2 is 2 s_m s_k plus products of s_i with k < i < m, so
+    the s_k follow from the top down; the final check makes it exact.
+    """
+    d = _x_coeff_list(D)
+    if len(d) % 2 == 0:
+        return None
+    m = len(d) // 2
+    top = _rational_sqrt(d[-1])
+    if top is None:
+        return None
+    s = [Fraction(0)] * m + [top]
+    for k in range(m - 1, -1, -1):
+        acc = sum(s[i] * s[m + k - i] for i in range(k + 1, m))
+        s[k] = (d[m + k] - acc) / (2 * top)
+    S = _from_x_coeff_list(s)
+    return S if S * S == D else None
+
+
+def _factor_exact(p: Poly2) -> Optional[list[tuple[Poly2, int]]]:
+    """Factors of p for the three shapes of the module docstring, else None."""
+    if p.total_degree() == 1:
+        return [(normalize_primitive(p), 1)]
+    cs = y_coefficients(p)
+    zero = Poly2.zero()
+    if p.deg_y() == 1:
+        if _gcd_x(cs[1], cs.get(0, zero)).is_constant():
+            return [(normalize_primitive(p), 1)]
+        return None
+    if p.deg_y() != 2 or not cs[2].is_constant():
+        return None
+    c = cs[2].constant_value()
+    B, E = cs.get(1, zero), cs.get(0, zero)
+    D = B * B - E * (4 * c)
+    lin = Poly2.variable("y") * (2 * c) + B
+    if D.is_zero:
+        return [(normalize_primitive(lin), 2)]
+    S = _sqrt_x(D)
+    if S is None:
+        return [(normalize_primitive(p), 1)]
+    return [(normalize_primitive(lin - S), 1), (normalize_primitive(lin + S), 1)]
+
+
 def factor_poly(p: Poly2) -> list[tuple[Poly2, int]]:
     """Irreducible factorization over Q (constants dropped, factors normalized)."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    _, factors = sympy.factor_list(_to_sympy(p))
-    out = []
-    for fac, mult in factors:
-        q = normalize_primitive(_from_sympy(sympy.Poly(fac, _SX, _SY)))
-        if not q.is_constant():
-            out.append((q, int(mult)))
+    out = _factor_exact(p)
+    if out is None:
+        import sympy
+
+        out = []
+        for fac, mult in sympy.factor_list(_to_sympy(p))[1]:
+            q = normalize_primitive(_from_sympy(fac))
+            if not q.is_constant():
+                out.append((q, int(mult)))
     out.sort(key=lambda fm: sorted(fm[0].terms()))
     return out
 
@@ -341,8 +424,11 @@ def _rational_roots_x(p: Poly2) -> tuple[list[Fraction], bool]:
 
 def resultant_y(F: Poly2, G: Poly2) -> Poly2:
     """Resultant eliminating y, as a univariate-in-x polynomial."""
-    r = sympy.resultant(_to_sympy(F).as_expr(), _to_sympy(G).as_expr(), _SY)
-    return _from_sympy(sympy.Poly(r, _SX, _SY))
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    r = sympy.resultant(_to_sympy(F).as_expr(), _to_sympy(G).as_expr(), y)
+    return _from_sympy(sympy.Poly(r, x, y))
 
 
 def rational_intersection_points(C: Curve, D: Curve) -> tuple[list[Point], bool]:
@@ -498,7 +584,7 @@ def decreasing_intersection_experiment(
         )
     if M < 0:
         raise ValueError("M must be nonnegative")
-    f = model.affine_map()
+    f = model.plane_map()
     if not closure_passes_through_Q(C, model.n):
         return DecreasingChainReport(
             status="hypothesis_failed",
@@ -568,5 +654,5 @@ def prop52_flag(model: FnModel, C: Curve, K: int) -> bool:
         raise DmlwbError("the flag is only meaningful for a stable model")
     if not closure_passes_through_Q(C, model.n):
         return False
-    period = is_periodic_curve(C, model.affine_map(), K)
+    period = is_periodic_curve(C, model.plane_map(), K)
     return period is not None and period >= 2

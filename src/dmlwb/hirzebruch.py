@@ -193,12 +193,16 @@ class FnModel:
     def is_stable(self) -> bool:
         return self.n >= self.threshold
 
+    def plane_map(self) -> PolyMap:
+        """The plane map (a*x + b, A(x)*y + B(x)), without an inverse."""
+        x, y = Poly2.variable("x"), Poly2.variable("y")
+        return PolyMap(x * self.a + self.b, self.A * y + self.B)
+
     def affine_map(self) -> PolyMap:
         """The plane map (a*x + b, A(x)*y + B(x)) with its verified inverse."""
+        f = self.plane_map()
         x = Poly2.variable("x")
         y = Poly2.variable("y")
-        f1 = x * self.a + self.b
-        f2 = self.A * y + self.B
         g1 = RatFunc((x - self.b) * (1 / self.a), Poly2.one())
         a_of_g = RatFunc.from_poly(self.A).substitute(g1, g1)
         b_of_g = RatFunc.from_poly(self.B).substitute(g1, g1)
@@ -206,7 +210,7 @@ class FnModel:
         num = (y * b_of_g.den - b_of_g.num) * a_of_g.den
         den = b_of_g.den * a_of_g.num
         g2 = RatFunc(num, den)
-        return PolyMap(f1, f2, RationalMap(g1, g2))
+        return PolyMap(f.f1, f.f2, RationalMap(g1, g2))
 
     # -- pointwise action --------------------------------------------------
 

@@ -10,8 +10,11 @@ distances are measured in the canonical chart (u, w) = (x2/x1,
 x1^n*x4/x3) as max(|u|_v, |w|_v); metrics from different embeddings are
 equivalent, so the chart metric is a legitimate stand-in.
 
-Archimedean distances are floats obtained from exact integers (relative
-error well below 1e-14); finite-place distances are exact rationals.
+Every distance is an exact rational, and the basin probe decides
+"below eps" and "strictly decreasing" on those exact values.  At the
+archimedean place metric_dv and the JSON form of a sample report the
+distance as a float (relative error well below 1e-14); that float is
+never compared.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ def metric_dv(p: CoordsLike, q: CoordsLike, v: Place):
     Returns an exact Fraction at finite places and a float at the
     archimedean place.
     """
+    value = _metric_exact(p, q, v)
+    return float(value) if v.is_archimedean else value
+
+
+def _metric_exact(p: CoordsLike, q: CoordsLike, v: Place) -> Fraction:
     xs, ys = _coords(p), _coords(q)
     if len(xs) != len(ys):
         raise ValueError("points must have the same projective dimension")
@@ -57,30 +65,21 @@ def metric_dv(p: CoordsLike, q: CoordsLike, v: Place):
             if term > cross:
                 cross = term
     den = max(abs_value(c, v) for c in xs) * max(abs_value(c, v) for c in ys)
-    value = cross / den
-    return float(value) if v.is_archimedean else value
-
-
-def _distance_json(d):
-    if d is None:
-        return None
-    if isinstance(d, Fraction):
-        return str(d)
-    return d
+    return cross / den
 
 
 @dataclass(frozen=True)
 class MetricSample:
     n: int
-    distance: Optional[Union[Fraction, float]]  # None when outside the chart
+    distance: Optional[Fraction]  # None when outside the chart
     below_epsilon: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "distance": _distance_json(self.distance),
-            "below_epsilon": self.below_epsilon,
-        }
+    def to_json_dict(self, place: Place) -> dict:
+        """JSON form; the distance is a float at the archimedean place."""
+        d = self.distance
+        if d is not None:
+            d = float(d) if place.is_archimedean else str(d)
+        return {"n": self.n, "distance": d, "below_epsilon": self.below_epsilon}
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class BasinReport:
             "at": self.at,
             "place": str(self.place),
             "eps": str(self.eps),
-            "samples": [s.to_json_dict() for s in self.samples],
+            "samples": [s.to_json_dict(self.place) for s in self.samples],
             "notes": list(self.notes),
         }
 
@@ -153,10 +152,7 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
                 u, w = chart_around_Q(P)
             except ChartDomainError:
                 return None
-            du = abs_value(u - qu, v)
-            dw = abs_value(w - qw, v)
-            value = max(du, dw)
-            return float(value) if v.is_archimedean else value
+            return max(abs_value(u - qu, v), abs_value(w - qw, v))
 
     elif isinstance(model, PolyMap):
         if Q is None:
@@ -172,7 +168,7 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
         )
 
         def distance(P):
-            return metric_dv(embed_P2(P), q_proj, v)
+            return _metric_exact(embed_P2(P), q_proj, v)
 
     else:
         raise TypeError("basin_probe expects an FnModel or a PolyMap")
@@ -188,12 +184,7 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
         dist = distance(current)
         if dist is None:
             notes.append(f"step {n}: point outside the chart around Q")
-            below = False
-        else:
-            below = (
-                dist < float(eps) if isinstance(dist, float) else dist < eps
-            )
-        samples.append(MetricSample(n, dist, below))
+        samples.append(MetricSample(n, dist, dist is not None and dist < eps))
         at = _certified_at(samples)
         if at is not None:
             return report("converged_at", at)
@@ -243,7 +234,7 @@ def local_dml_probe(
     Runs basin_probe and the orbit of p up to N (coordinates capped at
     bit_guard bits), then hands both to local_verdict.
     """
-    f = model.affine_map() if isinstance(model, FnModel) else model
+    f = model.plane_map() if isinstance(model, FnModel) else model
     affine_p = p if isinstance(p, Point) else Point(*(as_fraction(c) for c in p))
     basin = basin_probe(model, p, Q, v, N, eps)
     res = orbit(f, affine_p, N, bit_guard)

@@ -1,6 +1,9 @@
 """Plane curves: reduction, transforms, closures, local multiplicities, probes."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,6 +37,9 @@ from dmlwb.errors import ContractionError, MissingInverseError
 from dmlwb.hirzebruch import FnModel
 from dmlwb.maps import Point, PolyMap, RatFunc, RationalMap, point
 from dmlwb.parsing import parse_poly
+from dmlwb.poly import Poly2, normalize_primitive
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def pmap(f1: str, f2: str) -> PolyMap:
@@ -89,6 +95,108 @@ class TestCurve:
             ("x", 2),
             ("x - y", 3),
         ]
+
+
+def sympy_factors(p: Poly2) -> list[tuple[Poly2, int]]:
+    """Reference: sympy's factor_list in factor_poly's normal form and order."""
+    import sympy
+
+    out = []
+    for fac, mult in sympy.factor_list(curves._to_sympy(p))[1]:
+        q = normalize_primitive(curves._from_sympy(fac))
+        if not q.is_constant():
+            out.append((q, int(mult)))
+    return sorted(out, key=lambda fm: sorted(fm[0].terms()))
+
+
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero = coeffs.filter(lambda q: q != 0)
+Y = Poly2.variable("y")
+
+
+def x_polys(max_degree: int):
+    return st.lists(coeffs, max_size=max_degree + 1).map(
+        lambda cs: Poly2.from_terms({(i, 0): c for i, c in enumerate(cs)})
+    )
+
+
+linear = st.tuples(coeffs, coeffs, coeffs).map(
+    lambda t: Poly2.from_terms({(1, 0): t[0], (0, 1): t[1], (0, 0): t[2]})
+)
+y_linear = st.builds(lambda a, b: a * Y + b, x_polys(3), x_polys(3))
+const_lead_line = st.builds(lambda c, b: Y * c + b, nonzero, x_polys(2))
+y_quadratic = st.builds(lambda c, b, e: Y * Y * c + b * Y + e, nonzero, x_polys(2), x_polys(4))
+shapes = st.one_of(linear, y_linear, y_quadratic)
+products = st.one_of(
+    st.builds(lambda f, g: f * g, const_lead_line, const_lead_line),
+    st.builds(lambda f, g: f * g, shapes, shapes),
+)
+
+
+class TestExactFactorization:
+    """The exact branch of factor_poly against sympy (module docstring)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(shapes, products))
+    def test_matches_sympy(self, p):
+        if p.is_zero or p.is_constant():
+            return
+        # factor_poly sorts what the exact branch returns, or asks sympy
+        assert factor_poly(p) == sympy_factors(p)
+
+    @pytest.mark.parametrize(
+        "text, expected, exact",
+        [
+            ("x*y", [("x", 1), ("y", 1)], False),
+            ("x*y + x", [("x", 1), ("y + 1", 1)], False),
+            ("x^2*y - 1", [("x^2*y - 1", 1)], True),
+            ("y^2 - x^2", [("x + y", 1), ("x - y", 1)], True),
+            ("(y - x)^2", [("x - y", 2)], True),
+            ("2*y^2 + 3*x*y + x^2", [("x + 2*y", 1), ("x + y", 1)], True),
+            ("1/3*y^2 - 1/12*x^2", [("x + 2*y", 1), ("x - 2*y", 1)], True),
+            ("y^2 - 1/4", [("2*y + 1", 1), ("2*y - 1", 1)], True),
+            ("y^2 + x*y + 1/4*x^2", [("x + 2*y", 2)], True),
+            ("y^2 + 1", [("y^2 + 1", 1)], True),
+            ("y^2 - x^2 - 1", [("x^2 - y^2 + 1", 1)], True),
+            ("x^2 + y^2 - 3", [("x^2 + y^2 - 3", 1)], True),
+            ("y^2 - x^3 - 1", [("x^3 - y^2 + 1", 1)], True),
+            ("y^2 - 2", [("y^2 - 2", 1)], True),
+            ("x - 1/2", [("2*x - 1", 1)], True),
+        ],
+    )
+    def test_worked_cases(self, text, expected, exact):
+        p = parse_poly(text)
+        facs = factor_poly(p)
+        assert sorted((str(f), m) for f, m in facs) == expected
+        assert facs == sympy_factors(p)
+        assert (curves._factor_exact(p) is not None) == exact
+
+    def test_cli_runs_without_sympy(self):
+        # sympy is blocked, so any import of it fails the call
+        script = """
+import contextlib, io, sys
+sys.modules["sympy"] = None
+from dmlwb.cli import main
+curves = ["x + 2*y - 1", "y - x^2 + 1", "x*y - 2", "x^2 + y^2 - 3", "y^2 - x^3 - 1"]
+calls = [["degrees", "--map", "perfbench/batch/henon.json", "--horizon", "6"]]
+calls += [["dml", "scan", "--map", "perfbench/batch/triangular.json",
+           "--curve=" + c, "--point=1,1", "--horizon", "30"] for c in curves]
+calls.append(["batch", "--config", "perfbench/batch/config.json"])
+for call in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(call)
+    if rc != 0:
+        sys.exit(f"{call} exited with {rc}")
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestFixedAndPeriodic:

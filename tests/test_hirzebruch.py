@@ -198,7 +198,9 @@ class TestFnModel:
         # run_batch relies on this: its local probe steps f itself
         x, y = Poly2.variable("x"), Poly2.variable("y")
         f = PolyMap(x * a + b, x_poly(A) * y + x_poly(B))
-        assert FnModel.from_map(f).affine_map() == f
+        m = FnModel.from_map(f)
+        assert m.affine_map() == f and m.affine_map().inverse is not None
+        assert m.plane_map() == f and m.plane_map().inverse is None
 
     def test_point_model_surface_mismatch(self):
         m = FnModel.from_map(tri_map(), 3)

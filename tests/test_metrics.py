@@ -94,6 +94,18 @@ class TestBasinProbe:
         last = rep.samples[-1]
         assert last.below_epsilon and last.distance < float(DEFAULT_EPS)
 
+    def test_eps_decided_on_the_exact_distance(self):
+        # the float of 2^-20 - 10^-30 is 2^-20 itself, so a float
+        # comparison would put the first sample on eps, not below it
+        eps = Fraction(1, 2**20)
+        delta = eps - Fraction(1, 10**30)
+        halve = PolyMap(parse_poly("1/2*x"), parse_poly("1/2*y"))
+        rep = basin_probe(halve, point(delta, 0), point(0, 0), INF, 10, eps)
+        first = rep.samples[0]
+        assert first.distance == delta and first.below_epsilon
+        assert (rep.verdict, rep.at) == ("converged_at", 4)
+        assert rep.to_json_dict()["samples"][0]["distance"] == float(delta) == 2.0**-20
+
     def test_u_coordinate_is_exactly_2_to_minus_n(self):
         m = tri_model()
         f = m.affine_map()
