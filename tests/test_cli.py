@@ -300,13 +300,22 @@ class TestBatch:
             else:
                 assert it["local"] is None
 
-    def test_jobs_flag_is_validated_and_changes_no_byte(self, config_file, tmp_path, capsys):
-        outs = []
-        for extra in ([], ["--jobs", "1"], ["--jobs", "3"]):
-            out = tmp_path / f"out{len(outs)}.json"
-            assert main(["batch", "--config", config_file, "--out", str(out), *extra]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+    def test_parallel_output_is_byte_identical(self, config_file, tmp_path):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["batch", "--config", config_file, "--jobs", "1",
+                     "--out", str(out1)]) == 0
+        assert main(["batch", "--config", config_file, "--jobs", "3",
+                     "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_jobs_env_override(self, config_file, tmp_path, monkeypatch):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["batch", "--config", config_file, "--out", str(out1)]) == 0
+        monkeypatch.setenv("DMLWB_JOBS", "4")
+        assert main(["batch", "--config", config_file, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_zero_jobs_is_usage_error(self, config_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["batch", "--config", config_file, "--jobs", "0"])
         assert exc.value.code == 2
