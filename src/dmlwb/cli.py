@@ -103,15 +103,15 @@ def _envelope(command: str, config: dict, result) -> dict:
 def _config(args, *names: str) -> dict:
     """The envelope's config block: the named args in JSON form.
 
-    Points become [x, y] string pairs; values that are neither int nor
-    str (curves, places, rationals) become their strings.
+    Points become [x, y] string pairs; values that are neither int, str
+    nor None (curves, places, rationals) become their strings.
     """
     config = {}
     for name in names:
         value = getattr(args, name)
         if isinstance(value, Point):
             value = [str(value.x), str(value.y)]
-        elif not isinstance(value, (int, str)):
+        elif value is not None and not isinstance(value, (int, str)):
             value = str(value)
         config[name] = value
     return config
@@ -188,7 +188,6 @@ def _cmd_basin(args) -> tuple[dict, dict, list[str]]:
         if args.target is None:
             raise UsageError("--model p2 requires --target (the fixed point)")
         model = f
-        target = args.target
     elif args.model.startswith("fn:"):
         if args.target is not None:
             raise UsageError("--target only applies to --model p2; "
@@ -196,11 +195,14 @@ def _cmd_basin(args) -> tuple[dict, dict, list[str]]:
         tag = args.model[3:]
         n = None if tag == "auto" else _nonneg_int(tag)
         model = FnModel.from_map(f, n)
-        target = None
     else:
         raise UsageError("--model must be fn:auto, fn:<n>, or p2")
-    report = basin_probe(model, args.point, target, args.place, args.horizon, args.eps)
-    config = _config(args, "map", "model", "point", "place", "eps", "horizon")
+    report = basin_probe(
+        model, args.point, args.target, args.place, args.horizon, args.eps
+    )
+    config = _config(
+        args, "map", "model", "point", "target", "place", "eps", "horizon"
+    )
     summary = [str(report)]
     summary.extend(report.notes)
     return config, report.to_json_dict(), summary
@@ -384,11 +386,22 @@ def _load_inputs(cfg: ExperimentConfig) -> BatchInputs:
     return BatchInputs(tuple(maps), *parsed)
 
 
+# (section, kind, keys): each key is an ExperimentConfig field
+_CONFIG_SECTIONS = (
+    ("horizons", "horizon", ("N", "K", "M")),
+    ("guards", "guard", ("bit_guard", "curve_search_cap")),
+)
+_CONFIG_KEYS = (
+    "map", "maps", "curves", "points", "places", "horizons", "guards", "out"
+)
+
+
 def load_batch(path: str) -> tuple[ExperimentConfig, BatchInputs]:
     """Load and fully validate a batch config, with the inputs it names.
 
     Validation loads every map, curve, point and place, and those loaded
-    objects are what run_batch runs on.  Any defect is a usage error.
+    objects are what run_batch runs on.  Any defect, an unknown key
+    included, is a usage error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -399,35 +412,36 @@ def load_batch(path: str) -> tuple[ExperimentConfig, BatchInputs]:
         raise UsageError(f"--config: {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("--config: top level must be a JSON object")
-    maps = raw.get("maps", [raw["map"]] if "map" in raw else [])
-    curves = raw.get("curves", [])
-    points = raw.get("points", [])
-    places = raw.get("places", ["inf"])
-    horizons = raw.get("horizons", {})
-    guards = raw.get("guards", {})
-    cfg = ExperimentConfig(
-        maps=tuple(maps),
-        curves=tuple(curves),
-        points=tuple(points),
-        places=tuple(places),
-        N=horizons.get("N", DEFAULT_HORIZON),
-        K=horizons.get("K", DEFAULT_MAX_PERIOD),
-        M=horizons.get("M", 50),
-        bit_guard=guards.get("bit_guard", DEFAULT_BIT_GUARD),
-        curve_search_cap=guards.get("curve_search_cap", DEFAULT_CURVE_SEARCH_CAP),
-        out=raw.get("out"),
-    )
-    inputs = _load_inputs(cfg)
-    for kind, name, value in (
-        ("horizon", "N", cfg.N),
-        ("horizon", "K", cfg.K),
-        ("horizon", "M", cfg.M),
-        ("guard", "bit_guard", cfg.bit_guard),
-        ("guard", "curve_search_cap", cfg.curve_search_cap),
+    for key in raw:
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"--config: unknown key {key!r}")
+    fields = {}
+    for name, default in (
+        ("maps", [raw["map"]] if "map" in raw else []),
+        ("curves", []),
+        ("points", []),
+        ("places", ["inf"]),
     ):
-        if not isinstance(value, int) or value <= 0:
-            raise UsageError(f"--config: {kind} {name} must be a positive integer")
-    return cfg, inputs
+        value = raw.get(name, default)
+        if not isinstance(value, list):
+            raise UsageError(f"--config: {name} must be a JSON list")
+        fields[name] = tuple(value)
+    for name, kind, keys in _CONFIG_SECTIONS:
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            raise UsageError(f"--config: {name} must be a JSON object")
+        for key, value in section.items():
+            if key not in keys:
+                raise UsageError(f"--config: unknown key {key!r} in {name}")
+            # JSON true and false load as bool, a subclass of int
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise UsageError(f"--config: {kind} {key} must be a positive integer")
+        fields.update(section)
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise UsageError("--config: out must be a path or null")
+    cfg = ExperimentConfig(**fields, out=out)
+    return cfg, _load_inputs(cfg)
 
 
 _FAILURES = (DmlwbError, ValueError)
@@ -642,11 +656,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         config, result, summary = args.handler(args)
         _emit(_envelope(command, config, result), args.out, summary)
         return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        # unreadable or malformed input files are usage problems
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
+        # unreadable or malformed input files are usage problems too
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DmlwbError, ValueError) as exc:

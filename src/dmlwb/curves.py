@@ -50,9 +50,6 @@ from .maps import Point, PolyMap, RationalMap
 from .parsing import parse_poly
 from .poly import (
     Poly2,
-    _from_x_coeff_list,
-    _gcd_x,
-    _x_coeff_list,
     compose_rational,
     divide_by_y,
     divides,
@@ -60,6 +57,7 @@ from .poly import (
     normalize_primitive,
     poly_gcd,
     restrict_y0,
+    sqrt_x,
     x_order,
     y_coefficients,
 )
@@ -83,38 +81,6 @@ def _from_sympy(sp) -> Poly2:
     return Poly2.from_terms(terms)
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """The nonnegative rational square root of q, or None."""
-    if q < 0:
-        return None
-    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if a * a != q.numerator or b * b != q.denominator:
-        return None
-    return Fraction(a, b)
-
-
-def _sqrt_x(D: Poly2) -> Optional[Poly2]:
-    """S in Q[x] with S*S == D for a nonzero univariate-in-x D, or None.
-
-    With deg D = 2m and S = s_0 + ... + s_m x^m, the coefficient of
-    x^(m+k) in S^2 is 2 s_m s_k plus products of s_i with k < i < m, so
-    the s_k follow from the top down; the final check makes it exact.
-    """
-    d = _x_coeff_list(D)
-    if len(d) % 2 == 0:
-        return None
-    m = len(d) // 2
-    top = _rational_sqrt(d[-1])
-    if top is None:
-        return None
-    s = [Fraction(0)] * m + [top]
-    for k in range(m - 1, -1, -1):
-        acc = sum(s[i] * s[m + k - i] for i in range(k + 1, m))
-        s[k] = (d[m + k] - acc) / (2 * top)
-    S = _from_x_coeff_list(s)
-    return S if S * S == D else None
-
-
 def _factor_exact(p: Poly2) -> Optional[list[tuple[Poly2, int]]]:
     """Factors of p for the three shapes of the module docstring, else None."""
     if p.total_degree() == 1:
@@ -122,7 +88,7 @@ def _factor_exact(p: Poly2) -> Optional[list[tuple[Poly2, int]]]:
     cs = y_coefficients(p)
     zero = Poly2.zero()
     if p.deg_y() == 1:
-        if _gcd_x(cs[1], cs.get(0, zero)).is_constant():
+        if poly_gcd(cs[1], cs.get(0, zero)).is_constant():
             return [(normalize_primitive(p), 1)]
         return None
     if p.deg_y() != 2 or not cs[2].is_constant():
@@ -133,7 +99,7 @@ def _factor_exact(p: Poly2) -> Optional[list[tuple[Poly2, int]]]:
     lin = Poly2.variable("y") * (2 * c) + B
     if D.is_zero:
         return [(normalize_primitive(lin), 2)]
-    S = _sqrt_x(D)
+    S = sqrt_x(D)
     if S is None:
         return [(normalize_primitive(p), 1)]
     return [(normalize_primitive(lin - S), 1), (normalize_primitive(lin + S), 1)]
@@ -515,43 +481,33 @@ def periodicity_probe_thm13(
     f = model.affine_map()
     meets: list[bool] = []
     trail: list[str] = []
+
+    def report(verdict: str, **fields) -> PeriodicityProbeReport:
+        return PeriodicityProbeReport(verdict, tuple(meets), tuple(trail), **fields)
+
     current = C
     for k in range(N + 1):
         trail.append(str(current))
         hit = closure_meets_indeterminacy(current, model.n)
         meets.append(hit)
         if not hit:
-            return PeriodicityProbeReport(
-                verdict="hypothesis_fails",
-                meets=tuple(meets),
-                curves=tuple(trail),
-                fail_at=k,
+            return report(
+                "hypothesis_fails", fail_at=k,
                 notes=f"push-forward {k} misses the indeterminacy point; no claim",
             )
         if k == N:
             break
         if contracts_curve(current, f):
-            return PeriodicityProbeReport(
-                verdict="contracted",
-                meets=tuple(meets),
-                curves=tuple(trail),
-                fail_at=k,
+            return report(
+                "contracted", fail_at=k,
                 notes=f"the map contracts push-forward {k}; outside the hypotheses",
             )
         current = push_forward_curve(current, f)
     period = is_periodic_curve(C, f, K)
     if period is not None:
-        return PeriodicityProbeReport(
-            verdict="consistent_periodic",
-            meets=tuple(meets),
-            curves=tuple(trail),
-            period=period,
-        )
-    return PeriodicityProbeReport(
-        verdict="period_not_found",
-        meets=tuple(meets),
-        curves=tuple(trail),
-        flag=True,
+        return report("consistent_periodic", period=period)
+    return report(
+        "period_not_found", flag=True,
         notes=f"all {N + 1} push-forwards meet the indeterminacy point "
         f"but no period <= {K} was found",
     )
@@ -576,7 +532,11 @@ def decreasing_intersection_experiment(
 
     Hypotheses: stable model, C passes through Q, C not fixed.  The
     chain is expected to drop by at least 1 each step while the
-    pullbacks keep passing through Q.
+    pullbacks keep passing through Q.  Only the first two hypotheses
+    are checked.  Near Q a stable model acts on a branch with orders
+    (p, q) in the chart (u, w) as (p, q) -> (p, q + deg(A)*p), so no
+    curve through Q is fixed.  A curve through Q also involves y, so
+    its pullback has a component the map does not contract.
     """
     if not model.is_stable:
         raise DmlwbError(
@@ -585,62 +545,42 @@ def decreasing_intersection_experiment(
     if M < 0:
         raise ValueError("M must be nonnegative")
     f = model.plane_map()
-    if not closure_passes_through_Q(C, model.n):
+    seq: list[int] = []
+
+    def report(status: str, notes: str, fail_at=None) -> DecreasingChainReport:
         return DecreasingChainReport(
-            status="hypothesis_failed",
-            sequence=(),
-            strictly_decreasing=True,
-            fail_at=0,
-            notes="the closure of C does not pass through Q",
+            status=status,
+            sequence=tuple(seq),
+            strictly_decreasing=all(b <= a - 1 for a, b in zip(seq, seq[1:])),
+            fail_at=fail_at,
+            notes=notes,
         )
-    if is_fixed_curve(C, f):
-        return DecreasingChainReport(
-            status="hypothesis_failed",
-            sequence=(),
-            strictly_decreasing=True,
-            fail_at=0,
-            notes="C is fixed; the chain hypotheses exclude fixed curves",
+
+    if not closure_passes_through_Q(C, model.n):
+        return report(
+            "hypothesis_failed", "the closure of C does not pass through Q", 0
         )
     pullbacks = [C]
-    status = "completed"
-    fail_at = None
-    notes = ""
+    left_at = None
     for k in range(1, M + 2):
-        try:
-            nxt = pullback_curve(pullbacks[-1], f)
-        except ContractionError as exc:
-            status, fail_at = "degenerate", k
-            notes = f"pullback {k} degenerates: {exc}"
+        pullbacks.append(pullback_curve(pullbacks[-1], f))
+        if not closure_passes_through_Q(pullbacks[-1], model.n):
+            left_at = k
             break
-        pullbacks.append(nxt)
-        if not closure_passes_through_Q(nxt, model.n):
-            # expected terminal behavior: the chain forces the curve off Q
-            status, fail_at = "left_Q", k
-            notes = f"pullback {k} no longer passes through Q"
-            break
-    seq = []
     for m in range(len(pullbacks) - 1):
         a = multiplicity_at_origin(
             fn_chart_equation(pullbacks[m], model.n),
             fn_chart_equation(pullbacks[m + 1], model.n),
         )
         if a == math.inf:
-            return DecreasingChainReport(
-                status="degenerate",
-                sequence=tuple(seq),
-                strictly_decreasing=all(b <= x - 1 for x, b in zip(seq, seq[1:])),
-                fail_at=m,
-                notes="successive pullbacks share a component through Q",
+            return report(
+                "degenerate", "successive pullbacks share a component through Q", m
             )
         seq.append(a)
-    decreasing = all(b <= x - 1 for x, b in zip(seq, seq[1:]))
-    return DecreasingChainReport(
-        status=status,
-        sequence=tuple(seq),
-        strictly_decreasing=decreasing,
-        fail_at=fail_at,
-        notes=notes,
-    )
+    if left_at is None:
+        return report("completed", "")
+    # expected terminal behavior: the chain forces the curve off Q
+    return report("left_Q", f"pullback {left_at} no longer passes through Q", left_at)
 
 
 def prop52_flag(model: FnModel, C: Curve, K: int) -> bool:

@@ -27,7 +27,7 @@ from .errors import (
     NotTriangularError,
 )
 from .maps import Point, PolyMap, RatFunc, RationalMap
-from .poly import Poly2, as_fraction, y_coefficients
+from .poly import Poly2, as_fraction, restrict_y0, y_coefficients
 
 
 class FnPoint:
@@ -299,16 +299,10 @@ class IndeterminacyInfo:
         lc(A)*x1^d != 0, so the fiber pair vanishes precisely at x3 = 0.
         """
         m = self.model
-        bh_on_fiber = Poly2.from_terms(
-            {(i, j): c for (i, j), c in m.Bh.terms() if j == 0}
-        )
-        if not bh_on_fiber.is_zero:
+        if not restrict_y0(m.Bh).is_zero:
             return False
-        ah_on_fiber = Poly2.from_terms(
-            {(i, j): c for (i, j), c in m.Ah.terms() if j == 0}
-        )
         lead = m.A.coeff(int(m.A.total_degree()), 0)
-        if ah_on_fiber != Poly2.from_terms({(m.d, 0): lead}):
+        if restrict_y0(m.Ah) != Poly2.from_terms({(m.d, 0): lead}):
             return False
         # base pair (a*x1, 0) cannot vanish on the fiber since x1 != 0 there
         return m.d >= 1

@@ -366,22 +366,18 @@ def compose_map(f: PolyMap, g: PolyMap) -> PolyMap:
     return h
 
 
-def iterate_map(f: PolyMap, k: int, with_inverse: bool = False) -> PolyMap:
-    """k-th compositional power; k = 0 gives the identity.
+def iterate_map(f: PolyMap, k: int) -> PolyMap:
+    """k-th compositional power, with no inverse; k = 0 gives the identity.
 
-    Inverse components grow quickly under composition, so the composed
-    inverse is only carried along when explicitly requested.
+    Inverse components grow quickly under composition, so the iterates
+    start from the identity without an inverse and compose_map carries
+    none along.
     """
     if k < 0:
         raise ValueError("iterate_map expects k >= 0")
-    base = f
-    if not with_inverse and f.inverse is not None:
-        base = PolyMap(f.f1, f.f2)
-    result = PolyMap.identity()
-    if not with_inverse:
-        result = PolyMap(result.f1, result.f2)
+    result = PolyMap(Poly2.variable("x"), Poly2.variable("y"))
     for _ in range(k):
-        result = compose_map(base, result)
+        result = compose_map(f, result)
     return result
 
 

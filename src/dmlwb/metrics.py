@@ -129,22 +129,22 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
     """Iterate toward the fixed point Q and measure d_v each step.
 
     model: FnModel (chart metric near [1,0,1,0]) or PolyMap (affine data
-    through the projective-plane embedding).  Q must be fixed; for an
-    FnModel, Q defaults to [1, 0, 1, 0] when None.  Convergence is
-    certified by 5 consecutive strictly decreasing samples below eps.
+    through the projective-plane embedding).  p and Q are Points, or
+    FnPoints for an FnModel.  Q must be fixed; for an FnModel, Q defaults
+    to [1, 0, 1, 0] when None.  eps is exact: a float raises TypeError.
+    Convergence is certified by 5 consecutive strictly decreasing
+    samples below eps.
     """
-    eps = as_fraction(eps) if not isinstance(eps, float) else Fraction(eps)
+    eps = as_fraction(eps)
     notes: list[str] = []
     if isinstance(model, FnModel):
         if Q is None:
             Q = fixed_point_Q(model.n)
         if not isinstance(Q, FnPoint):
-            Q = embed_A2(Q if isinstance(Q, Point) else Point(*Q), model.n)
+            Q = embed_A2(Q, model.n)
         if model.apply(Q) != Q:
             raise ValueError(f"{Q} is not fixed by the model")
-        current = p if isinstance(p, FnPoint) else embed_A2(
-            p if isinstance(p, Point) else Point(*p), model.n
-        )
+        current = p if isinstance(p, FnPoint) else embed_A2(p, model.n)
         qu, qw = chart_around_Q(Q)
 
         def distance(P):
@@ -157,11 +157,9 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
     elif isinstance(model, PolyMap):
         if Q is None:
             raise ValueError("planar probes need an explicit fixed point Q")
-        if not isinstance(Q, Point):
-            Q = Point(*(as_fraction(c) for c in Q))
         if model.apply(Q) != Q:
             raise ValueError(f"{Q} is not fixed by the map")
-        current = p if isinstance(p, Point) else Point(*(as_fraction(c) for c in p))
+        current = p
         q_proj = embed_P2(Q)
         notes.append(
             "planar probe: indeterminacy-side hypotheses on Q are unverified"
@@ -234,14 +232,12 @@ def local_dml_probe(
     Runs basin_probe and the orbit of p up to N (coordinates capped at
     bit_guard bits), then hands both to local_verdict.
     """
-    f = model.plane_map() if isinstance(model, FnModel) else model
-    affine_p = p if isinstance(p, Point) else Point(*(as_fraction(c) for c in p))
     basin = basin_probe(model, p, Q, v, N, eps)
-    res = orbit(f, affine_p, N, bit_guard)
-    q = None
-    if Q is not None and not isinstance(model, FnModel):
-        q = Q if isinstance(Q, Point) else Point(*(as_fraction(c) for c in Q))
-    return local_verdict(f, C, basin, res, q, visit_threshold)
+    if isinstance(model, FnModel):
+        f, q = model.plane_map(), None
+    else:
+        f, q = model, Q
+    return local_verdict(f, C, basin, orbit(f, p, N, bit_guard), q, visit_threshold)
 
 
 def local_verdict(

@@ -158,42 +158,30 @@ def height_affine(p: Point) -> int:
     return embed_P2(p).height()
 
 
-DEFAULT_ENUM_CAP = 20_000_000
+ENUM_CAP = 20_000_000
 
 
-def northcott_enumerate(B: int, dim: int, cap: int = DEFAULT_ENUM_CAP) -> list[ProjPoint]:
+def northcott_enumerate(B: int, dim: int) -> list[ProjPoint]:
     """All canonical points of P^dim(Q) with height <= B, sorted by coordinates.
 
-    The scan size (2B+1)^(dim+1) is guarded by cap so absurd bounds fail
-    loudly instead of thrashing.
+    The scan size (2B+1)^(dim+1) is guarded by ENUM_CAP so absurd bounds
+    fail loudly instead of thrashing.
     """
     if B < 0:
         raise ValueError("northcott_enumerate expects B >= 0")
     if dim not in (1, 2):
         raise ValueError("only P^1 and P^2 enumeration is supported")
-    if (2 * B + 1) ** (dim + 1) > cap:
+    if (2 * B + 1) ** (dim + 1) > ENUM_CAP:
         raise ResourceCapError(
-            f"enumeration of ~{(2 * B + 1) ** (dim + 1)} tuples exceeds cap {cap}"
+            f"enumeration of ~{(2 * B + 1) ** (dim + 1)} tuples exceeds cap {ENUM_CAP}"
         )
     # scan canonical representatives directly: first nonzero entry positive
     out: list[ProjPoint] = []
-    if dim == 1:
-        for a in range(0, B + 1):
-            for b in range(-B, B + 1):
-                if a == 0 and b <= 0:
-                    continue
-                if math.gcd(a, abs(b)) == 1:
-                    out.append(ProjPoint((a, b)))
-    else:
-        for a in range(0, B + 1):
-            for b in range(-B, B + 1):
-                if a == 0 and b < 0:
-                    continue
-                for c in range(-B, B + 1):
-                    if a == 0 and b == 0 and c <= 0:
-                        continue
-                    if math.gcd(math.gcd(a, abs(b)), abs(c)) == 1:
-                        out.append(ProjPoint((a, b, c)))
+    for first in range(B + 1):
+        for rest in itertools.product(range(-B, B + 1), repeat=dim):
+            coords = (first, *rest)
+            if next((c for c in coords if c), 0) > 0 and math.gcd(*coords) == 1:
+                out.append(ProjPoint(coords))
     out.sort(key=lambda q: q.coords)
     return out
 

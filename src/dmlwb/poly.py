@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import DegreeCapError, ZeroDenominatorError
 
@@ -477,6 +477,38 @@ def _from_x_coeff_list(coeffs: list[Fraction]) -> Poly2:
     return Poly2.from_terms({(i, 0): c for i, c in enumerate(coeffs) if c})
 
 
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The nonnegative rational square root of q, or None."""
+    if q < 0:
+        return None
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if a * a != q.numerator or b * b != q.denominator:
+        return None
+    return Fraction(a, b)
+
+
+def sqrt_x(D: Poly2) -> Optional[Poly2]:
+    """S in Q[x] with S*S == D for a nonzero univariate-in-x D, or None.
+
+    With deg D = 2m and S = s_0 + ... + s_m x^m, the coefficient of
+    x^(m+k) in S^2 is 2 s_m s_k plus products of s_i with k < i < m, so
+    the s_k follow from the top down; the final check makes it exact.
+    """
+    d = _x_coeff_list(D)
+    if len(d) % 2 == 0:
+        return None
+    m = len(d) // 2
+    top = _rational_sqrt(d[-1])
+    if top is None:
+        return None
+    s = [Fraction(0)] * m + [top]
+    for k in range(m - 1, -1, -1):
+        acc = sum(s[i] * s[m + k - i] for i in range(k + 1, m))
+        s[k] = (d[m + k] - acc) / (2 * top)
+    S = _from_x_coeff_list(s)
+    return S if S * S == D else None
+
+
 def _divmod_x(ca: list[Fraction], cb: list[Fraction]):
     """Long division of dense coefficient lists over Q (lowest degree first).
 
@@ -535,14 +567,13 @@ def exact_div(a: Poly2, b: Poly2):
         dw = work.deg_y()
         if dw < db:
             return None
-        top = y_coefficients(work).get(dw)
-        qk = exact_div(top, lead) if lead.deg_y() == 0 else None
+        # lead lies in Q[x], so qk * lead == top exactly when qk exists,
+        # and the subtraction clears the y^dw coefficient
+        qk = exact_div(y_coefficients(work)[dw], lead)
         if qk is None:
             return None
         quot[dw - db] = qk
         work = work - from_y_coefficients({dw - db: qk}) * b
-        if not work.is_zero and work.deg_y() == dw and y_coefficients(work).get(dw):
-            return None
     return from_y_coefficients(quot)
 
 

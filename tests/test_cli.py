@@ -198,6 +198,15 @@ class TestBasin:
         assert code == 1
         assert "not fixed" in captured.err
 
+    def test_config_echoes_target(self, capsys, triang_file, tmp_path):
+        path = tmp_path / "halve.json"
+        path.write_text(json.dumps({"f1": "1/2*x", "f2": "1/2*y"}))
+        doc = run_json(capsys, ["basin", "--map", str(path), "--model", "p2",
+                                "--point", "1,1", "--target", "0,0"])
+        assert doc["config"]["target"] == ["0", "0"]
+        doc = run_json(capsys, ["basin", "--map", triang_file, "--point", "1,1"])
+        assert doc["config"]["target"] is None
+
     def test_bad_model_tag(self, capsys, triang_file):
         code = main(["basin", "--map", triang_file, "--model", "zeta",
                      "--point", "1,1"])
@@ -369,3 +378,33 @@ class TestBatch:
         assert loaded.places == ("inf",)
         assert loaded.N == 200 and loaded.K == 12
         assert loaded.bit_guard == 10**6
+
+    @pytest.mark.parametrize("override, message", [
+        ({"horizons": [1]}, "horizons must be a JSON object"),
+        ({"horizons": {"N": True}}, "horizon N must be a positive integer"),
+        ({"guards": {"curve_search_cap": True}},
+         "guard curve_search_cap must be a positive integer"),
+        ({"mpas": []}, "unknown key 'mpas'"),
+        ({"guards": {"bit_gaurd": 8}}, "unknown key 'bit_gaurd' in guards"),
+        ({"horizons": {"n": 8}}, "unknown key 'n' in horizons"),
+        ({"maps": "f.json"}, "maps must be a JSON list"),
+        ({"curves": "y"}, "curves must be a JSON list"),
+        ({"out": 5}, "out must be a path"),
+    ], ids=["horizons-list", "N-bool", "cap-bool", "top-key", "guards-key",
+            "horizons-key", "maps-string", "curves-string", "out-int"])
+    def test_malformed_config_rejected(self, tmp_path, triang_file, capsys,
+                                       override, message):
+        cfg = {"maps": [triang_file], "curves": ["y"], "points": ["0,0"]}
+        cfg.update(override)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["batch", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: --config: {message}" in captured.err
+
+    def test_singular_map_key(self, tmp_path, triang_file):
+        cfg = {"map": triang_file, "curves": ["y"], "points": ["0,0"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert load_batch(str(path))[0].maps == (triang_file,)

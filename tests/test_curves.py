@@ -470,6 +470,16 @@ class TestPeriodicityProbe:
         assert rep.verdict == "contracted"
         assert rep.fail_at == 0
 
+    def test_period_not_found(self):
+        # the component y keeps every push-forward on the indeterminacy
+        # point, but y*(y - x^4) has no period <= 1
+        m = FnModel.from_map(pmap("2*x", "x^3*y"))
+        rep = periodicity_probe_thm13(m, curve("y*(y - x^4)"), N=4, K=1)
+        assert rep.verdict == "period_not_found"
+        assert rep.flag and rep.period is None and rep.fail_at is None
+        assert rep.meets == (True,) * 5
+        assert "no period <= 1" in rep.notes
+
     def test_requires_stable_model(self):
         m = FnModel.from_map(pmap("2*x", "x^3*y + x^5"), 1)
         from dmlwb.errors import DmlwbError
@@ -504,7 +514,29 @@ class TestDecreasingChain:
         m = self.chain_model()
         rep = decreasing_intersection_experiment(m, curve("x - 5"), M=3)
         assert rep.status == "hypothesis_failed"
+        assert rep.sequence == () and rep.fail_at == 0
         assert "pass through Q" in rep.notes
+
+    def test_shared_component_through_Q(self):
+        # E passes through Q, so E and f(E) make a curve whose first
+        # pullback contains E again
+        m = self.chain_model()
+        E = curve("y - x^4")
+        C = Curve(E.equation * push_forward_curve(E, m.affine_map()).equation)
+        rep = decreasing_intersection_experiment(m, C, M=3)
+        assert rep.status == "degenerate"
+        assert rep.sequence == () and rep.fail_at == 0
+        assert rep.strictly_decreasing
+        assert rep.notes == "successive pullbacks share a component through Q"
+
+    @pytest.mark.parametrize("text", ["y - x^4", "y*(y - x^4)", "y^2 - x^9 + x"])
+    def test_curves_through_Q_are_not_fixed(self, text):
+        # the two hypotheses decreasing_intersection_experiment does not check
+        m = self.chain_model()
+        C = curve(text)
+        assert closure_passes_through_Q(C, m.n)
+        assert not is_fixed_curve(C, m.plane_map())
+        assert pullback_curve(C, m.plane_map()).factors
 
 
 class TestProp52Flag:

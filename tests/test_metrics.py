@@ -94,6 +94,10 @@ class TestBasinProbe:
         last = rep.samples[-1]
         assert last.below_epsilon and last.distance < float(DEFAULT_EPS)
 
+    def test_float_eps_rejected(self):
+        with pytest.raises(TypeError):
+            basin_probe(tri_model(), point(1, 1), None, INF, 5, eps=1e-6)
+
     def test_eps_decided_on_the_exact_distance(self):
         # the float of 2^-20 - 10^-30 is 2^-20 itself, so a float
         # comparison would put the first sample on eps, not below it

@@ -1,5 +1,6 @@
 """Valuations, absolute values, heights, point enumeration."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -164,6 +165,14 @@ class TestNorthcott:
             assert all(q.height() <= B for q in pts)
             bigger = northcott_enumerate(B + 1, 1)
             assert set(pts) == {q for q in bigger if q.height() <= B}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("B", [0, 1, 2, 3])
+    def test_equals_filter_over_the_full_cube(self, B, dim):
+        # every nonzero integer tuple in [-B, B]^(dim+1), canonicalized
+        cube = itertools.product(range(-B, B + 1), repeat=dim + 1)
+        expected = {ProjPoint(t) for t in cube if any(t)}
+        assert northcott_enumerate(B, dim) == sorted(expected, key=lambda q: q.coords)
 
     def test_p2_contains_affine_lattice(self):
         pts = set(northcott_enumerate(2, 2))
