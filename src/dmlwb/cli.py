@@ -347,11 +347,8 @@ class ExperimentConfig:
             "curves": list(self.curves),
             "points": list(self.points),
             "places": list(self.places),
-            "horizons": {"N": self.N, "K": self.K, "M": self.M},
-            "guards": {
-                "bit_guard": self.bit_guard,
-                "curve_search_cap": self.curve_search_cap,
-            },
+            **{name: {key: getattr(self, key) for key in keys}
+               for name, _, keys in _CONFIG_SECTIONS},
             "out": self.out,
         }
 

@@ -40,7 +40,7 @@ is_contracted_factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -122,15 +122,21 @@ def factor_poly(p: Poly2) -> list[tuple[Poly2, int]]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class Curve:
-    """Reduced plane curve over Q."""
+    """Reduced plane curve over Q.
 
-    __slots__ = ("equation", "factors")
+    Curve(equation) stores the primitive product of the distinct
+    irreducible factors of equation; equality compares that equation.
+    """
 
-    def __init__(self, equation: Poly2):
-        if equation.is_zero or equation.is_constant():
+    equation: Poly2
+    factors: tuple[Poly2, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.equation.is_zero or self.equation.is_constant():
             raise ValueError("a curve equation must be a nonconstant polynomial")
-        self._set_factors([f for f, _ in factor_poly(equation)])
+        self._set_factors([f for f, _ in factor_poly(self.equation)])
 
     @classmethod
     def _from_factors(cls, factors) -> "Curve":
@@ -145,9 +151,6 @@ class Curve:
             eq = eq * f
         object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "equation", normalize_primitive(eq))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Curve is immutable")
 
     @classmethod
     def from_string(cls, text: str) -> "Curve":
@@ -166,19 +169,8 @@ class Curve:
     def irreducible_components(self) -> list["Curve"]:
         return [Curve._from_factors((f,)) for f in self.factors]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Curve):
-            return NotImplemented
-        return self.equation == other.equation
-
-    def __hash__(self) -> int:
-        return hash(self.equation)
-
     def __str__(self) -> str:
         return str(self.equation)
-
-    def __repr__(self) -> str:
-        return f"Curve({self.equation})"
 
 
 # -- fixedness and periodicity ------------------------------------------------
@@ -422,16 +414,7 @@ def rational_intersection_points(C: Curve, D: Curve) -> tuple[list[Point], bool]
         xs, flag = _rational_roots_x(res)
     points: list[Point] = []
     for x0 in xs:
-        cy = _restrict_x(ce, x0)
-        dy_ = _restrict_x(de, x0)
-        if cy.is_zero and dy_.is_zero:
-            continue
-        if cy.is_zero:
-            common = dy_
-        elif dy_.is_zero:
-            common = cy
-        else:
-            common = poly_gcd(cy, dy_)
+        common = poly_gcd(_restrict_x(ce, x0), _restrict_x(de, x0))
         if common.is_constant():
             continue
         ys, yflag = _rational_roots_x(common)

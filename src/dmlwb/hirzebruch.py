@@ -16,8 +16,9 @@ base infinity is contracted to the fixed point [1, 0, 1, 0].
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     ChartDomainError,
@@ -30,21 +31,24 @@ from .maps import Point, PolyMap, RatFunc, RationalMap
 from .poly import Poly2, as_fraction, restrict_y0, y_coefficients
 
 
+@dataclass(frozen=True, slots=True)
 class FnPoint:
     """Point of F_n in canonical homogeneous coordinates.
 
-    Canonicalization scales the base pair (x1, x2) so its first nonzero
-    entry is 1 (the x4 entry picks up the lambda^(-n) twist), then scales
-    the fiber pair (x3, x4) the same way.  Two raw quadruples are
-    equivalent exactly when their canonical forms agree.
+    FnPoint(n, coords) takes any four rationals.  Canonicalization scales
+    the base pair (x1, x2) so its first nonzero entry is 1 (the x4 entry
+    picks up the lambda^(-n) twist), then scales the fiber pair (x3, x4)
+    the same way.  Two raw quadruples are equivalent exactly when their
+    canonical forms agree.
     """
 
-    __slots__ = ("n", "coords")
+    n: int
+    coords: tuple[Fraction, Fraction, Fraction, Fraction]
 
-    def __init__(self, n: int, raw: Sequence):
-        if n < 0:
+    def __post_init__(self):
+        if self.n < 0:
             raise ValueError("F_n needs n >= 0")
-        vals = [as_fraction(c) for c in raw]
+        vals = [as_fraction(c) for c in self.coords]
         if len(vals) != 4:
             raise ValueError("an F_n point needs four coordinates")
         x1, x2, x3, x4 = vals
@@ -53,29 +57,14 @@ class FnPoint:
         if x3 == 0 and x4 == 0:
             raise ExcludedLocusError("x3 = x4 = 0 lies in the excluded locus")
         lam = x1 if x1 != 0 else x2
-        x1, x2, x4 = x1 / lam, x2 / lam, x4 * lam**n
+        x1, x2, x4 = x1 / lam, x2 / lam, x4 * lam**self.n
         mu = x3 if x3 != 0 else x4
         x3, x4 = x3 / mu, x4 / mu
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coords", (x1, x2, x3, x4))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FnPoint is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FnPoint):
-            return NotImplemented
-        return self.n == other.n and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coords))
 
     def __str__(self) -> str:
         inner = ", ".join(str(c) for c in self.coords)
         return f"[{inner}] on F_{self.n}"
-
-    def __repr__(self) -> str:
-        return f"FnPoint({self})"
 
 
 def embed_A2(p: Point, n: int) -> FnPoint:

@@ -58,6 +58,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
@@ -102,6 +103,7 @@ def point(x, y) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
+@dataclass(frozen=True, slots=True)
 class RatFunc:
     """Rational function num/den in lowest terms with canonical denominator.
 
@@ -109,25 +111,27 @@ class RatFunc:
     graded lexicographic order, so equal functions compare equal.
     """
 
-    __slots__ = ("num", "den")
+    num: Poly2
+    den: Poly2
 
-    def __init__(self, num: Poly2, den: Poly2):
+    def __post_init__(self):
+        num, den = self.num, self.den
         if den.is_zero:
             raise ZeroDenominatorError("rational function with zero denominator")
         if num.is_zero:
-            self.num = Poly2.zero()
-            self.den = Poly2.one()
-            return
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = exact_div(num, g)
-            den = exact_div(den, g)
-        den_norm = normalize_primitive(den)
-        scale = den.coeff(*den.leading_monomial()) / den_norm.coeff(
-            *den_norm.leading_monomial()
-        )
-        self.num = num * (1 / scale)
-        self.den = den_norm
+            num, den = Poly2.zero(), Poly2.one()
+        else:
+            g = poly_gcd(num, den)
+            if not g.is_constant():
+                num = exact_div(num, g)
+                den = exact_div(den, g)
+            den_norm = normalize_primitive(den)
+            scale = den.coeff(*den.leading_monomial()) / den_norm.coeff(
+                *den_norm.leading_monomial()
+            )
+            num, den = num * (1 / scale), den_norm
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_poly(cls, p: Poly2) -> "RatFunc":
@@ -136,14 +140,6 @@ class RatFunc:
     @classmethod
     def parse(cls, text: str) -> "RatFunc":
         return cls(*parse_ratfunc_pair(text))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def is_polynomial(self) -> bool:
         return self.den == Poly2.one()
@@ -175,22 +171,17 @@ class RatFunc:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
-
 
 _RF_X = RatFunc.from_poly(Poly2.variable("x"))
 _RF_Y = RatFunc.from_poly(Poly2.variable("y"))
 
 
+@dataclass(frozen=True, slots=True)
 class RationalMap:
     """Pair of rational functions acting as a map of the plane."""
 
-    __slots__ = ("g1", "g2")
-
-    def __init__(self, g1: RatFunc, g2: RatFunc):
-        self.g1 = g1
-        self.g2 = g2
+    g1: RatFunc
+    g2: RatFunc
 
     def apply(self, p: Point) -> Point:
         return Point(self.g1.evaluate(p), self.g2.evaluate(p))
@@ -202,32 +193,30 @@ class RationalMap:
             self.g2.substitute(other.g1, other.g2),
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMap):
-            return NotImplemented
-        return self.g1 == other.g1 and self.g2 == other.g2
-
     def __str__(self) -> str:
         return f"({self.g1}, {self.g2})"
 
 
+@dataclass(slots=True)
 class PolyMap:
     """Polynomial endomorphism of the affine plane, optionally birational.
 
     When an inverse is supplied it is verified symbolically; failure
-    raises InverseVerificationError.
+    raises InverseVerificationError.  Equality compares f1 and f2 only;
+    a PolyMap is mutable and unhashable.
     """
 
-    __slots__ = ("f1", "f2", "inverse")
+    f1: Poly2
+    f2: Poly2
+    inverse: Optional[RationalMap] = field(default=None, compare=False)
 
-    def __init__(self, f1: Poly2, f2: Poly2, inverse: Optional[RationalMap] = None):
-        self.f1 = f1
-        self.f2 = f2
-        if inverse is not None and not verify_inverse(f1, f2, inverse):
+    def __post_init__(self):
+        if self.inverse is not None and not verify_inverse(
+            self.f1, self.f2, self.inverse
+        ):
             raise InverseVerificationError(
                 "claimed inverse does not invert the map"
             )
-        self.inverse = inverse
 
     @classmethod
     def identity(cls) -> "PolyMap":
@@ -267,16 +256,8 @@ class PolyMap:
         """max(deg f1, deg f2); a constant map, (0, 0) included, has degree 0."""
         return int(max(0, self.f1.total_degree(), self.f2.total_degree()))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMap):
-            return NotImplemented
-        return self.f1 == other.f1 and self.f2 == other.f2
-
     def __str__(self) -> str:
         return f"({self.f1}, {self.f2})"
-
-    def __repr__(self) -> str:
-        return f"PolyMap({self})"
 
 
 def _split(value: Fraction, primes: tuple[int, ...]) -> tuple[int, list[int]]:

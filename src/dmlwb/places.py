@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .arith import factorize, is_prime, valuation
 from .errors import ResourceCapError
@@ -97,17 +97,19 @@ def product_formula_check(x: RatLike) -> bool:
     return prod == 1
 
 
+@dataclass(frozen=True, slots=True)
 class ProjPoint:
     """Canonical rational projective point with coprime integer coordinates.
 
-    Canonical form: entries are integers with gcd 1 and the first nonzero
-    entry positive, so equality of tuples is projective equality.
+    ProjPoint(coords) takes any iterable of rationals.  Canonical form:
+    entries are integers with gcd 1 and the first nonzero entry positive,
+    so equality of tuples is projective equality.
     """
 
-    __slots__ = ("coords",)
+    coords: tuple[int, ...]
 
-    def __init__(self, coords: Iterable[RatLike]):
-        fracs = [as_fraction(c) for c in coords]
+    def __post_init__(self):
+        fracs = [as_fraction(c) for c in self.coords]
         if not fracs:
             raise ValueError("projective point needs at least one coordinate")
         if all(c == 0 for c in fracs):
@@ -124,9 +126,6 @@ class ProjPoint:
             g = -g
         object.__setattr__(self, "coords", tuple(c // g for c in ints))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
-
     @property
     def dim(self) -> int:
         return len(self.coords) - 1
@@ -134,19 +133,8 @@ class ProjPoint:
     def height(self) -> int:
         return max(abs(c) for c in self.coords)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
     def __str__(self) -> str:
         return "[" + ":".join(str(c) for c in self.coords) + "]"
-
-    def __repr__(self) -> str:
-        return f"ProjPoint({self})"
 
 
 def embed_P2(p: Point) -> ProjPoint:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmlwb import dml
 from dmlwb.curves import Curve
 from dmlwb.dml import (
     APSet,
@@ -17,6 +18,7 @@ from dmlwb.dml import (
     orbit_visits,
     visit_set,
 )
+from dmlwb.errors import DegreeCapError
 from dmlwb.maps import Point, PolyMap, iterate_map, point
 from dmlwb.parsing import parse_poly
 from dmlwb.poly import Poly2, get_degree_cap, set_degree_cap
@@ -341,6 +343,23 @@ class TestDmlClassify:
         assert rep.preperiodic_witness is None
         assert not rep.curve_search_capped
 
+    def test_no_component_carries_a_tail(self):
+        # each of the five vertical lines is visited once, so the union
+        # has a certified tail while no single component has one
+        rep = dml_classify(
+            pmap("x + 1", "y"),
+            curve("x*(x - 1)*(x - 2)*(x - 3)*(x - 4)"),
+            point(0, 0),
+            N=4,
+            K=2,
+        )
+        assert rep.visit_set == (0, 1, 2, 3, 4)
+        assert rep.ap.progressions == ((1, 0),)
+        assert rep.curve_period_witness is None
+        assert not rep.curve_search_capped
+        assert rep.verdict == "undetermined"
+        assert rep.notes == ("no single component carries a certified visit tail",)
+
     def test_heights_follow_visits(self):
         rep = dml_classify(pmap("x + 1", "-y"), curve("y - 1"), point(0, 1), N=6)
         assert len(rep.height_trace) == len(rep.visit_set)
@@ -377,3 +396,79 @@ class TestDmlClassify:
             "curve_search_capped": False,
         }
         assert d["preperiodic_witness"] == [0, 2]
+
+
+def no_period(C, f, K):
+    return None
+
+
+def capped(C, f, K):
+    raise DegreeCapError("degree cap in a test")
+
+
+class TestVerdictPaths:
+    """The verdicts after a certified visit tail when the curve period
+    search caps or finds nothing, forced by replacing that search.
+    f = (x + 1, -y) puts the orbit of (0, 1) on y = 1 at every even step
+    and on y = -1 at every odd one."""
+
+    def classify(self, monkeypatch, search, text):
+        monkeypatch.setattr(dml, "is_periodic_curve", search)
+        return dml_classify(pmap("x + 1", "-y"), curve(text), point(0, 1), N=10, K=4)
+
+    def test_capped_search_is_undetermined(self, monkeypatch):
+        rep = self.classify(monkeypatch, capped, "y - 1")
+        assert rep.ap.progressions == ((2, 0),)
+        assert rep.curve_search_capped
+        assert rep.verdict == "undetermined"
+        assert rep.notes == (
+            "curve period search hit the degree cap before reaching K = 4",
+        )
+
+    def test_no_period_is_a_violation(self, monkeypatch):
+        rep = self.classify(monkeypatch, no_period, "y - 1")
+        assert rep.preperiodic_witness is None
+        assert rep.curve_period_witness is None
+        assert not rep.curve_search_capped
+        assert rep.verdict == "VIOLATION"
+        assert rep.notes == (
+            "certified periodic visit tail with no preperiodic orbit and "
+            "no curve period <= K: contradicts the dichotomy",
+        )
+
+    def test_component_without_a_period_is_a_violation(self, monkeypatch):
+        rep = self.classify(monkeypatch, no_period, "y^2 - 1")
+        D = curve("y^2 - 1").irreducible_components()[0]
+        assert rep.ap.progressions == ((1, 0),)
+        assert rep.verdict == "VIOLATION"
+        assert rep.notes[0] == (
+            f"component {D} carries a certified visit tail; "
+            "its period search found no period <= 4"
+        )
+        assert len(rep.notes) == 2 and "contradicts the dichotomy" in rep.notes[1]
+
+    def test_capped_component_search_is_undetermined(self, monkeypatch):
+        def search(C, f, K):
+            return capped(C, f, K) if C.is_irreducible else no_period(C, f, K)
+
+        rep = self.classify(monkeypatch, search, "y^2 - 1")
+        D = curve("y^2 - 1").irreducible_components()[0]
+        assert rep.curve_search_capped
+        assert rep.curve_period_witness is None
+        assert rep.verdict == "undetermined"
+        assert rep.notes == (
+            f"component {D} carries a certified visit tail; "
+            "its period search hit the degree cap",
+        )
+
+    @pytest.mark.parametrize("search", [no_period, capped])
+    def test_truncated_orbit_is_never_a_violation(self, monkeypatch, search):
+        # every computed point lies on y = 1 until the guard trips
+        monkeypatch.setattr(dml, "is_periodic_curve", search)
+        rep = dml_classify(
+            pmap("2*x", "y"), curve("y - 1"), point(1, 1), N=500, K=3, bit_guard=24
+        )
+        assert rep.orbit_guard_hit
+        assert rep.verdict == "undetermined"
+        assert not rep.curve_search_capped
+        assert len(rep.notes) == 1 and rep.notes[0].startswith("orbit guard hit")

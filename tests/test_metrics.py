@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmlwb import metrics
 from dmlwb.curves import Curve
 from dmlwb.hirzebruch import FnModel, FnPoint, embed_A2, fixed_point_Q
 from dmlwb.maps import PolyMap, point
@@ -168,6 +169,20 @@ class TestLocalDmlProbe:
         assert rep.verdict == "curve_fixed_confirmed"
         assert not rep.violation
         assert len(rep.visit_set) >= rep.visit_threshold
+
+    def test_no_fixed_curve_is_a_violation(self, monkeypatch):
+        # the instance above with the fixed-curve check made to fail
+        monkeypatch.setattr(metrics, "is_fixed_curve", lambda C, f: False)
+        f = PolyMap(parse_poly("1/2*x"), parse_poly("1/2*y"))
+        rep = local_dml_probe(
+            f, Curve.from_string("y - x"), point(1, 1), Q=point(0, 0), N=30
+        )
+        assert rep.verdict == "violation"
+        assert rep.violation
+        assert rep.notes == (
+            "convergence and infinite-looking visits without a fixed "
+            "curve or an exact Q-hit: contradicts the local dichotomy",
+        )
 
     def test_hypotheses_not_met_without_visits(self):
         m = tri_model()
