@@ -6,18 +6,27 @@ while triangular maps grow linearly and have dynamical degree 1.  All
 growth labels are finite-horizon heuristics and say so; the degrees
 themselves are exact.
 
-Degrees come from the top homogeneous part of f rather than from full
-iterates.  Let d = deg f and let f_d be the degree-d part of f (a
-component of lower degree contributes 0).  Put h_1 = f_d and
-h_n = f_d(h_{n-1}).  If h_1, ..., h_n are all nonzero then
-deg f^n = d^n and h_n is the top part of f^n: inductively
-f^{n-1} = h_{n-1} + (terms of degree < d^{n-1}), and in
-f^n = f(f^{n-1}) = f_d(f^{n-1}) + f_{<d}(f^{n-1}) every term other than
-f_d(h_{n-1}) = h_n has degree below d^n.  At the first n with h_n = 0
-the degree drops below d^n by an amount the top parts cannot see, so
-the sequence is recomputed from full compositions (the path unstable
-maps have always taken).  This follows the algebraic-stability
-viewpoint of Fornaess-Sibony (1995) and Diller-Favre (2001).
+Plane algebraic stability takes one exact step.  Let d = deg f and
+F = f_d, the degree-d part of f (a component of lower degree counts as
+0); put h_1 = F and h_n = F(h_{n-1}).  While h_1, ..., h_n are nonzero,
+f^n = F(f^{n-1}) + f_{<d}(f^{n-1}) = h_n + (terms of degree < d^n) by
+induction, so deg f^n = d^n; and h_2 = 0 means deg f^2 < d^2.  Every h_n
+is nonzero exactly when h_2 is.  Over an algebraic closure write
+F = G*(g_1, g_2), with G = gcd(F_1, F_2) and g_1, g_2 coprime forms of
+degree e.
+
+- e >= 1: the line at infinity is not contracted.  A coprime pair u of
+  positive degree maps P^1 onto itself, so g(u) is again one and
+  G(u) != 0; by induction h_n = c_n*u_n with c_n a nonzero form and u_n
+  such a pair (c_1 = G, u_1 = g, c_{n+1} = c_n^d*G(u_n), u_{n+1} = g(u_n)).
+- e = 0: F = P*(a, b), and h_n = lambda_n*P^(d^(n-1))*(a, b) with
+  lambda_1 = 1 and lambda_{n+1} = lambda_n^d*P(a, b): all are nonzero
+  exactly when P(a, b) != 0, that is when h_2 != 0.
+
+For d = 1, F is the linear part L, and h_2 = L^2 = 0 exactly when L is
+nilpotent.  So f is algebraically stable (deg f^n = d^n for all n) iff
+h_2 != 0 (Fornaess-Sibony 1995, Diller-Favre 2001); otherwise the first
+drop is at n = 2, and only full compositions say by how much.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from . import poly
 from .maps import PolyMap, compose_map
-from .poly import Poly2
 
 GROWTH_BOUNDED = "bounded"
 GROWTH_LINEAR = "linear"
@@ -63,23 +72,12 @@ class StabilityVerdict:
         return f"unstable_at({self.unstable_at})"
 
 
-def _top_part(p: Poly2, d: int) -> Poly2:
-    """The homogeneous degree-d part of p (zero when deg p < d)."""
-    return Poly2.from_terms({k: c for k, c in p.terms() if k[0] + k[1] == d})
-
-
 def _raw_degree_sequence(f: PolyMap, N: int) -> list[int]:
-    """deg f^n for n = 1..N, exact.
+    """deg f^n for n = 1..N, exact; a constant f is rejected.
 
-    While the top-part iterates h_n = f_d(h_{n-1}) stay nonzero,
-    deg f^n = d^n (module docstring); each step composes only the
-    degree-d part of f with a homogeneous pair.  At the first vanishing
-    h_n, and for affine maps (d = 1), the whole sequence is taken from
-    full compositions f^n = f(f^{n-1}) instead, where a constant
-    iterate (possible only when f is not dominant) has degree 0.  A
-    constant f is rejected.  Both paths multiply through Poly2, so on a
-    stable prefix the degree cap trips at the first n with d^n above the
-    cap, as full composition does.
+    d^n unless N >= 2 and h_2 = F(F) = 0 (module docstring); then full
+    compositions f^n = f(f^{n-1}), where a constant iterate (possible only
+    when f is not dominant) has degree 0.
     """
     if N < 1:
         raise ValueError("degree horizon must be at least 1")
@@ -88,20 +86,18 @@ def _raw_degree_sequence(f: PolyMap, N: int) -> list[int]:
     d = base.algebraic_degree()
     if d == 0:
         raise ValueError("degree is undefined for a constant map")
-    if d > 1:
-        top1, top2 = _top_part(base.f1, d), _top_part(base.f2, d)
-        h1, h2 = top1, top2
+    F = [poly.Poly2.from_terms({k: c for k, c in p.terms() if sum(k) == d})
+         for p in (base.f1, base.f2)]
+    if N >= 2 and all(Fk.compose(*F).is_zero for Fk in F):
+        acc = base
+        out = [d]
         for _ in range(N - 1):
-            h1, h2 = top1.compose(h1, h2), top2.compose(h1, h2)
-            if h1.is_zero and h2.is_zero:
-                break  # deg f^n < d^n; only full iterates say by how much
-        else:
-            return [d**n for n in range(1, N + 1)]
-    acc = base
-    out = [d]
-    for _ in range(N - 1):
-        acc = compose_map(base, acc)
-        out.append(acc.algebraic_degree())
+            acc = compose_map(base, acc)
+            out.append(acc.algebraic_degree())
+        return out
+    out = [d**n for n in range(1, N + 1)]
+    for dn in out[1:]:
+        poly._check_cap(dn)  # via the module, which tracers patch
     return out
 
 
@@ -192,10 +188,12 @@ def stability_verdict(degrees: Sequence[int]) -> StabilityVerdict:
 def is_algebraically_stable_P2(f: PolyMap, N: int) -> StabilityVerdict:
     """Degree criterion on the projective plane: deg f^n = (deg f)^n.
 
-    Returns the least n <= N where the equality fails, if any.
+    Returns the least n <= N where the equality fails, if any.  That n is
+    always 2 (module docstring), so f is composed at most twice.
     """
     # a horizon below 2 is rejected by stability_verdict before any work
-    return stability_verdict(_raw_degree_sequence(f, N) if N >= 2 else ())
+    verdict = stability_verdict(_raw_degree_sequence(f, 2) if N >= 2 else ())
+    return StabilityVerdict(horizon=N, unstable_at=verdict.unstable_at)
 
 
 def profile_to_json_dict(profile: DegreeProfile) -> dict:

@@ -2,13 +2,13 @@
 dichotomy classifier.
 
 The classifier is empirical: at a finite horizon "infinite visits" is
-operationally a certified periodic tail (membership a-periodic over a
-window of at least 3a).  When such a tail is certified the classifier
-hunts for the two admissible explanations, an exactly repeating orbit
-or a periodic curve, and only reports VIOLATION when both searches ran
-to completion and found nothing.  On a reducible curve the periodic
-curve may be a component: when the whole curve has no period, the
-components that carry a certified tail are searched.  Guard-truncated
+operationally a periodic tail observed on the prefix (membership
+a-periodic over a window of at least 3a).  When such a tail is observed
+the classifier hunts for the two admissible explanations, an exactly
+repeating orbit or a periodic curve, and only reports VIOLATION when
+both searches ran to completion and found nothing.  On a reducible
+curve the periodic curve may be a component: when the whole curve has
+no period, the components that carry an observed tail are searched.  Guard-truncated
 data never produces a VIOLATION verdict; it is reported as undetermined
 with the guard on record.
 """
@@ -181,8 +181,8 @@ class APSet:
 
 
 def ap_decompose(S, N: int) -> APSet:
-    """Decompose S as progressions over a certified periodic tail plus
-    exceptional points.
+    """Decompose S as progressions over a periodic tail observed on
+    [n0, N] plus exceptional points.
 
     Finds the least difference a in [1, N//4] and then the least cut n0
     such that membership is a-periodic on [n0, N] and the tail window
@@ -225,10 +225,10 @@ class DmlReport:
     """Classification of one (map, curve, point) instance.
 
     Invariant: verdict is VIOLATION only when a periodic visit tail is
-    certified at the full horizon and both witness searches (exact
+    observed at the full horizon and both witness searches (exact
     orbit cycle, curve period up to max_period) ran to completion
     without success; on a reducible curve the period search must also
-    have failed, uncapped, on a component carrying a certified tail.
+    have failed, uncapped, on a component carrying an observed tail.
     A reducible curve's witness may be the lcm of the periods of those
     components, a period of their union.
     """
@@ -284,7 +284,7 @@ def _curve_period_capped(
 def _tail_components(
     C: Curve, res: OrbitResult, visits: list[int], N: int
 ) -> list[Curve]:
-    """Irreducible components of C whose own visits have a certified tail."""
+    """Irreducible components of C whose own visits have an observed tail."""
     out = []
     for D in C.irreducible_components():
         on_D = {n for n in visits if D.contains(res.point_at(n))}
@@ -305,7 +305,7 @@ def dml_classify(
     """Classify the visit structure of the orbit of p against C.
 
     Computes the exact visit set, decomposes it into progressions, and
-    when an infinite pattern is certified searches for the two
+    when an infinite pattern is observed searches for the two
     admissible explanations.  Guards are recorded in the report, never
     silently dropped.
     """

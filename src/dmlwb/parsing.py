@@ -7,10 +7,10 @@ Grammar (whitespace insignificant):
     factor  := ['-'] base ['^' INT]
     base    := INT | 'x' | 'y' | '(' expr ')'
 
-Polynomial mode restricts '/' to the literal form INT '/' INT, so a
-rational constant like 7/3 parses but x/2 is rejected.  Rational-function
-mode treats '/' as ordinary division over Q(x, y).  Multiplication is
-always explicit: '2x' is a syntax error.
+'/' is division over Q(x, y) in rational-function mode.  Polynomial mode
+reads the same text the same way but allows only a nonzero constant
+divisor, so 7/3, x/2 and 3/4^2 = 3/16 parse while x/y is rejected.
+Multiplication is always explicit: '2x' is a syntax error.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ class _Parser:
                 n2, d2 = self.factor()
                 num, den = num * n2, den * d2
             elif tok.kind == "op" and tok.text == "/":
-                if not self.rational:
-                    raise PolyParseError(
-                        "'/' is only allowed between integer literals here", tok.pos
-                    )
                 self.advance()
                 n2, d2 = self.factor()
+                if not (self.rational or n2.is_constant()):
+                    raise PolyParseError(
+                        "a polynomial may only be divided by a constant", tok.pos
+                    )
                 if n2.is_zero:
                     raise ZeroDenominatorError(
                         f"division by zero at position {tok.pos}"
@@ -158,27 +158,7 @@ class _Parser:
     def base(self) -> tuple[Poly2, Poly2]:
         tok = self.advance()
         if tok.kind == "int":
-            value = int(tok.text)
-            nxt = self.peek()
-            if (
-                not self.rational
-                and nxt.kind == "op"
-                and nxt.text == "/"
-            ):
-                after = self.tokens[self.k + 1]
-                if after.kind != "int":
-                    raise PolyParseError(
-                        "'/' is only allowed between integer literals here", nxt.pos
-                    )
-                self.advance()
-                self.advance()
-                if int(after.text) == 0:
-                    raise ZeroDenominatorError(
-                        f"division by zero at position {nxt.pos}"
-                    )
-                q = Fraction(value, int(after.text))
-                return Poly2.const(q), Poly2.one()
-            return Poly2.const(value), Poly2.one()
+            return Poly2.const(int(tok.text)), Poly2.one()
         if tok.kind == "var":
             return Poly2.variable(tok.text), Poly2.one()
         if tok.kind == "lparen":
@@ -195,9 +175,9 @@ class _Parser:
 
 
 def parse_poly(text: str) -> Poly2:
-    """Parse polynomial text; '/' only inside rational literals a/b."""
+    """Parse polynomial text; '/' only by a nonzero constant."""
     num, den = _Parser(text, rational=False).parse()
-    # den is a product of literal integer denominators, hence constant
+    # every divisor was a constant, so den is one
     return num * (1 / den.constant_value())
 
 

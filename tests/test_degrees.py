@@ -15,7 +15,7 @@ from dmlwb.degrees import (
     profile_to_json_dict,
 )
 from dmlwb.errors import DegreeCapError
-from dmlwb.maps import PolyMap, iterate_map
+from dmlwb.maps import PolyMap, compose_map, iterate_map
 from dmlwb.parsing import parse_poly
 from dmlwb.poly import Poly2, get_degree_cap, set_degree_cap
 
@@ -246,3 +246,50 @@ def test_top_part_degrees_match_full_iterates(family):
             assert expected == f"stable_up_to_{N}", f
         if family == "direction_unstable":
             assert expected == "unstable_at(2)", f
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stability_is_decided_by_the_second_top_part_iterate(family):
+    rng = random.Random(f"certificate:{family}")
+    for _ in range(8):
+        f1, f2 = FAMILIES[family](rng)
+        f = PolyMap(Poly2.from_terms(f1), Poly2.from_terms(f2))
+        d = f.algebraic_degree()
+        if d == 0:
+            continue
+        top = PolyMap(*(
+            Poly2.from_terms({k: c for k, c in p.terms() if sum(k) == d})
+            for p in (f.f1, f.f2)
+        ))
+        h2 = compose_map(top, top)
+        h2_zero = h2.f1.is_zero and h2.f2.is_zero
+        assert h2_zero == (iterate_map(f, 2).algebraic_degree() < d**2), f
+        for N in (2, 30):
+            expected = "unstable_at(2)" if h2_zero else f"stable_up_to_{N}"
+            assert str(is_algebraically_stable_P2(f, N)) == expected, f
+
+
+def test_stability_needs_no_iterate_above_the_degree_cap():
+    henon = parse_map("y", "y^2 - x")
+    triangular = parse_map("2*x", "x^3*y + x^5")  # deg f^30 = 92
+    saved = get_degree_cap()
+    set_degree_cap(64)
+    try:
+        assert str(is_algebraically_stable_P2(henon, 8)) == "stable_up_to_8"
+        assert str(is_algebraically_stable_P2(henon, 30)) == "stable_up_to_30"
+        assert str(is_algebraically_stable_P2(triangular, 30)) == "unstable_at(2)"
+        with pytest.raises(DegreeCapError, match="degree 128 > cap 64"):
+            degree_sequence(henon, 7)
+    finally:
+        set_degree_cap(saved)
+
+
+def test_stable_maps_take_no_full_composition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("full composition of a stable map")
+
+    monkeypatch.setattr("dmlwb.degrees.compose_map", refuse)
+    # the top part (0, y^2) of the Henon map has a zero component
+    henon = parse_map("y", "y^2 - x")
+    assert degree_sequence(henon, 12).degrees == tuple(2**n for n in range(1, 13))
+    assert degree_sequence(parse_map("x + 1", "2*y"), 5).degrees == (1,) * 5

@@ -319,6 +319,22 @@ class TestDmlClassify:
             # cap not reached: the fixed curve must have been found
             assert rep.verdict == "dichotomy_confirmed_curve_periodic"
 
+    def test_curve_search_trips_a_small_cap(self):
+        # cap 1 leaves no room to form C(f) for the fixed curve y = x
+        rep = dml_classify(
+            pmap("x^2", "x^2"),
+            curve("y - x"),
+            point(2, 2),
+            N=12,
+            K=12,
+            curve_search_cap=1,
+        )
+        assert rep.curve_search_capped
+        assert rep.verdict == "undetermined"
+        assert rep.notes == (
+            "curve period search hit the degree cap before reaching K = 12",
+        )
+
     def test_fixed_curve_found_without_cap(self):
         rep = dml_classify(
             pmap("x^2", "x^2"), curve("y - x"), point(2, 2), N=12, K=3

@@ -305,6 +305,15 @@ class TestParsing:
         with pytest.raises(PolyParseError):
             parse_poly("x/y")
 
+    def test_poly_mode_divides_like_ratfunc_mode(self):
+        assert parse_poly("3/4^2") == Poly2.const(Fraction(3, 16))
+        for text in ["3/4^2", "2^3/4", "1/2/3", "x/2"]:
+            num, den = parse_ratfunc_pair(text)
+            assert parse_poly(text) == num * (1 / den.constant_value()), text
+        for text in ["x/y", "x/(y - 1)"]:
+            with pytest.raises(PolyParseError, match="position 1"):
+                parse_poly(text)
+
     def test_ratfunc_pair_division(self):
         num, den = parse_ratfunc_pair("(y - 1)/(x^3)")
         assert num == Y - 1
