@@ -56,6 +56,21 @@ class UsageError(Exception):
     """Bad flag combinations or invalid config files (exit code 2)."""
 
 
+def _flag_type(parse):
+    """parse as an argparse type that exits 2 on a domain error or a zero
+    denominator too: argparse itself catches only ValueError and TypeError."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except DmlwbError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        except ZeroDivisionError as exc:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+    convert.__name__ = parse.__name__  # argparse names the type in its messages
+    return convert
+
+
+@_flag_type
 def _point_arg(text: str) -> Point:
     return Point(*parse_point(text))
 
@@ -64,6 +79,7 @@ def _place_arg(text: str) -> Place:
     return Place.parse(text)
 
 
+@_flag_type
 def _eps_arg(text: str):
     m = re.fullmatch(r"(\d+)\^(-?\d+)", text.strip())
     if m:
@@ -72,6 +88,7 @@ def _eps_arg(text: str):
     return Fraction(text)
 
 
+@_flag_type
 def _curve_arg(text: str) -> Curve:
     return Curve.from_string(text)
 
@@ -83,10 +100,16 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _nonneg_int(text: str) -> int:
-    n = int(text)
+def _model_n(text: str, flag: str) -> Optional[int]:
+    """The n of an F_n model: None for auto, else a nonnegative integer."""
+    if text == "auto":
+        return None
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
     if n < 0:
-        raise ValueError("must be nonnegative")
+        raise UsageError(f"{flag} must be auto or a nonnegative integer, got {text!r}")
     return n
 
 
@@ -192,8 +215,7 @@ def _cmd_basin(args) -> tuple[dict, dict, list[str]]:
         if args.target is not None:
             raise UsageError("--target only applies to --model p2; "
                              "ruled-surface probes converge to the canonical point")
-        tag = args.model[3:]
-        n = None if tag == "auto" else _nonneg_int(tag)
+        n = _model_n(args.model[3:], "the n of --model fn:<n>")
         model = FnModel.from_map(f, n)
     else:
         raise UsageError("--model must be fn:auto, fn:<n>, or p2")
@@ -210,8 +232,7 @@ def _cmd_basin(args) -> tuple[dict, dict, list[str]]:
 
 def _cmd_fn_model(args) -> tuple[dict, dict, list[str]]:
     f = load_map(args.map)
-    n = None if args.n == "auto" else _nonneg_int(args.n)
-    model = FnModel.from_map(f, n)
+    model = FnModel.from_map(f, _model_n(args.n, "--n"))
     components = [
         f"{model.a}*x1 + {model.b}*x2" if model.b else f"{model.a}*x1",
         "x2",
@@ -412,6 +433,8 @@ def load_batch(path: str) -> tuple[ExperimentConfig, BatchInputs]:
     for key in raw:
         if key not in _CONFIG_KEYS:
             raise UsageError(f"--config: unknown key {key!r}")
+    if "map" in raw and "maps" in raw:
+        raise UsageError("--config: give map or maps, not both")
     fields = {}
     for name, default in (
         ("maps", [raw["map"]] if "map" in raw else []),
@@ -581,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_northcott)
 
     p = sub.add_parser("product-check", help="verify the product formula for a rational")
-    p.add_argument("--value", required=True, type=Fraction)
+    p.add_argument("--value", required=True, type=_flag_type(Fraction))
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_product_check)
 

@@ -162,18 +162,10 @@ class RatFunc:
             )
         return RatFunc(n1 * d2, d1 * n2)
 
-    def substitute_polys(self, p1: Poly2, p2: Poly2) -> "RatFunc":
-        """self(p1, p2) for polynomial arguments."""
-        return RatFunc(self.num.compose(p1, p2), self.den.compose(p1, p2))
-
     def __str__(self) -> str:
         if self.is_polynomial():
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-_RF_X = RatFunc.from_poly(Poly2.variable("x"))
-_RF_Y = RatFunc.from_poly(Poly2.variable("y"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,6 +187,10 @@ class RationalMap:
 
     def __str__(self) -> str:
         return f"({self.g1}, {self.g2})"
+
+
+_IDENTITY = RationalMap(RatFunc.from_poly(Poly2.variable("x")),
+                        RatFunc.from_poly(Poly2.variable("y")))
 
 
 @dataclass(slots=True)
@@ -220,8 +216,7 @@ class PolyMap:
 
     @classmethod
     def identity(cls) -> "PolyMap":
-        ident = RationalMap(_RF_X, _RF_Y)
-        return cls(Poly2.variable("x"), Poly2.variable("y"), ident)
+        return cls(Poly2.variable("x"), Poly2.variable("y"), _IDENTITY)
 
     def apply(self, p: Point) -> Point:
         return Point(self.f1.evaluate(p.x, p.y), self.f2.evaluate(p.x, p.y))
@@ -320,16 +315,13 @@ def _as_fraction(n: int, exps: list[int], primes) -> Fraction:
 
 def verify_inverse(f1: Poly2, f2: Poly2, g: RationalMap) -> bool:
     """Check that g inverts (f1, f2): both compositions reduce to the identity."""
-    fg1 = g.g1.substitute_polys(f1, f2)
-    fg2 = g.g2.substitute_polys(f1, f2)
-    if not (fg1 == _RF_X and fg2 == _RF_Y):
+    f = RationalMap(RatFunc.from_poly(f1), RatFunc.from_poly(f2))
+    if g.compose(f) != _IDENTITY:
         return False
     try:
-        gf1 = RatFunc.from_poly(f1).substitute(g.g1, g.g2)
-        gf2 = RatFunc.from_poly(f2).substitute(g.g1, g.g2)
+        return f.compose(g) == _IDENTITY
     except ZeroDenominatorError:
         return False
-    return gf1 == _RF_X and gf2 == _RF_Y
 
 
 def compose_map(f: PolyMap, g: PolyMap) -> PolyMap:

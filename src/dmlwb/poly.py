@@ -205,26 +205,7 @@ class Poly2:
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        if self._d == other._d:
-            nums = dict(self._n)
-            for k, v in other._n.items():
-                w = nums.get(k, 0) + v
-                if w:
-                    nums[k] = w
-                else:
-                    nums.pop(k, None)
-            return Poly2(nums, self._d)
-        d1, d2 = self._d, other._d
-        g = math.gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        nums = {k: v * m1 for k, v in self._n.items()}
-        for k, v in other._n.items():
-            w = nums.get(k, 0) + v * m2
-            if w:
-                nums[k] = w
-            else:
-                nums.pop(k, None)
-        return Poly2(nums, d1 * m1)
+        return poly_sum((self, other))
 
     __radd__ = __add__
 
@@ -331,14 +312,10 @@ class Poly2:
         """Polynomial substitution self(gx, gy)."""
         if not self._n:
             return Poly2.zero()
-        dx = max(i for i, _ in self._n)
-        dy = max(j for _, j in self._n)
-        pow_x = _poly_power_table(gx, dx)
-        pow_y = _poly_power_table(gy, dy)
-        acc = Poly2.zero()
-        for (i, j), c in self._n.items():
-            acc = acc + pow_x[i] * pow_y[j] * Fraction(c, self._d)
-        return acc
+        pow_x = power_table(gx, self.deg_x())
+        pow_y = power_table(gy, self.deg_y())
+        return poly_sum(pow_x[i] * pow_y[j] * Fraction(c, self._d)
+                        for (i, j), c in self._n.items())
 
     def derivative(self, name: str) -> "Poly2":
         if name == "x":
@@ -384,18 +361,42 @@ def _format_monomial(k: Monomial) -> str:
     return "*".join(pieces)
 
 
-def power_table(base: int, top: int) -> list[int]:
-    out = [1] * (top + 1)
-    for k in range(1, top + 1):
-        out[k] = out[k - 1] * base
-    return out
-
-
-def _poly_power_table(base: Poly2, top: int) -> list[Poly2]:
-    out = [Poly2.one()]
+def power_table(base, top: int) -> list:
+    """[base**0, base**1, ..., base**top] for an int or a Poly2 base."""
+    out = [base**0]
     for _ in range(top):
         out.append(out[-1] * base)
     return out
+
+
+def poly_sum(polys: Iterable[Poly2]) -> Poly2:
+    """Exact sum of polynomials, read one at a time.
+
+    The sum is one integer dict over a running common denominator d: a
+    summand over e adds its numerators times d / e, and the dict is
+    rescaled only when e brings a factor that d lacks.
+    """
+    it = iter(polys)
+    first = next(it, None)
+    if first is None:
+        return Poly2.zero()
+    out, d = dict(first._n), first._d
+    get = out.get
+    for p in it:
+        e = p._d
+        s = e // math.gcd(d, e)
+        if s > 1:
+            for k, v in out.items():
+                out[k] = v * s
+            d *= s
+        m = d // e
+        if m == 1:
+            for k, v in p._n.items():
+                out[k] = get(k, 0) + v
+        else:
+            for k, v in p._n.items():
+                out[k] = get(k, 0) + v * m
+    return Poly2(out, d)
 
 
 # -- substitution with rational arguments ---------------------------------
@@ -413,14 +414,13 @@ def compose_rational(p: Poly2, num_x: Poly2, den_x: Poly2,
         return Poly2.zero(), Poly2.one()
     dx = p.deg_x()
     dy = p.deg_y()
-    pnx = _poly_power_table(num_x, dx)
-    pdx = _poly_power_table(den_x, dx)
-    pny = _poly_power_table(num_y, dy)
-    pdy = _poly_power_table(den_y, dy)
-    acc = Poly2.zero()
-    for (i, j), c in p.terms():
-        acc = acc + pnx[i] * pdx[dx - i] * pny[j] * pdy[dy - j] * c
-    return acc, pdx[dx] * pdy[dy]
+    pnx = power_table(num_x, dx)
+    pdx = power_table(den_x, dx)
+    pny = power_table(num_y, dy)
+    pdy = power_table(den_y, dy)
+    num = poly_sum(pnx[i] * pdx[dx - i] * pny[j] * pdy[dy - j] * c
+                   for (i, j), c in p.terms())
+    return num, pdx[dx] * pdy[dy]
 
 
 # -- univariate views ------------------------------------------------------
@@ -434,11 +434,8 @@ def y_coefficients(p: Poly2) -> dict[int, Poly2]:
 
 
 def from_y_coefficients(coeffs: Mapping[int, Poly2]) -> Poly2:
-    acc = Poly2.zero()
-    for j, c in coeffs.items():
-        acc = acc + c * Poly2({(0, j): 1})
-        # c must be univariate in x; enforced by callers
-    return acc
+    # each c must be univariate in x; enforced by callers
+    return poly_sum(c * Poly2({(0, j): 1}) for j, c in coeffs.items())
 
 
 def restrict_y0(p: Poly2) -> Poly2:

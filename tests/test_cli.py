@@ -277,6 +277,37 @@ class TestDmlScan:
         assert exc.value.code == 2
 
 
+MAP = object()  # stands for the path of a triangular map file
+
+
+@pytest.mark.parametrize("argv", [
+    ["height", "--point", "abc"],
+    ["height", "--point", "1/0,2"],
+    ["intersect", "--c1", "x/y", "--c2", "y", "--at", "0,0"],
+    ["product-check", "--value", "1/0"],
+    ["basin", "--map", MAP, "--point", "1,1", "--eps", "1/0"],
+    ["basin", "--map", MAP, "--point", "1,1", "--eps", "0^-1"],
+    ["curve-period", "--map", MAP, "--curve", "1/0"],
+    ["fn-model", "--map", MAP, "--n", "abc"],
+    ["fn-model", "--map", MAP, "--n", "-1"],
+    ["basin", "--map", MAP, "--point", "1,1", "--model", "fn:abc"],
+    ["basin", "--map", MAP, "--point", "1,1", "--model", "fn:-2"],
+], ids=["point-text", "point-zero-den", "curve-by-y", "value-zero-den",
+        "eps-zero-den", "eps-zero-power", "curve-zero-den", "n-text", "n-negative",
+        "model-n-text", "model-n-negative"])
+def test_malformed_flag_value_is_usage_error(capsys, triang_file, argv):
+    argv = [triang_file if a is MAP else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "error: " in captured.err.splitlines()[-1]
+
+
 class TestBatch:
     @pytest.fixture
     def config_file(self, tmp_path, triang_file, flip_file):
@@ -390,8 +421,10 @@ class TestBatch:
         ({"maps": "f.json"}, "maps must be a JSON list"),
         ({"curves": "y"}, "curves must be a JSON list"),
         ({"out": 5}, "out must be a path"),
+        ({"map": "f.json"}, "give map or maps, not both"),
     ], ids=["horizons-list", "N-bool", "cap-bool", "top-key", "guards-key",
-            "horizons-key", "maps-string", "curves-string", "out-int"])
+            "horizons-key", "maps-string", "curves-string", "out-int",
+            "map-and-maps"])
     def test_malformed_config_rejected(self, tmp_path, triang_file, capsys,
                                        override, message):
         cfg = {"maps": [triang_file], "curves": ["y"], "points": ["0,0"]}

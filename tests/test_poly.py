@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: ring laws, divisibility, parsing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,13 @@ from dmlwb.poly import (
     _pseudo_rem_y,
     _x_coeff_list,
     as_fraction,
+    compose_rational,
     divides,
     exact_div,
     get_degree_cap,
     normalize_primitive,
     poly_gcd,
+    poly_sum,
     set_degree_cap,
     squarefree_part,
     y_coefficients,
@@ -173,6 +176,55 @@ class TestArithmetic:
         assert p.deg_x() == 3
         assert p.deg_y() == 2
         assert p.total_degree() == 5
+
+
+nonzero_dens = polys(max_terms=3, max_deg=1).filter(lambda q: not q.is_zero)
+
+
+class TestSummation:
+    @settings(max_examples=80)
+    @given(st.lists(polys(), max_size=6))
+    def test_sum_matches_fraction_oracle(self, ps):
+        expected: dict = {}
+        for p in ps:
+            for k, c in p.terms():
+                expected[k] = expected.get(k, 0) + c
+        total = poly_sum(p for p in ps)
+        assert dict(total.terms()) == {k: c for k, c in expected.items() if c}
+        # canonical: content and denominator coprime, so == sees equal sums
+        nums, den = total.integer_form()
+        assert math.gcd(den, *nums.values()) == 1
+        assert total == Poly2.from_terms(expected)
+
+    @settings(max_examples=40)
+    @given(polys())
+    def test_full_cancellation_is_zero_over_one(self, p):
+        parts = [p * Fraction(1, 2), p * Fraction(1, 3), p * Fraction(-5, 6)]
+        for total in (poly_sum([p, -p]), poly_sum(parts)):
+            assert total.is_zero
+            assert total.integer_form() == ({}, 1)
+
+    def test_empty_sum_is_zero(self):
+        assert poly_sum([]).integer_form() == ({}, 1)
+
+    @settings(max_examples=40)
+    @given(polys(max_deg=2), polys(max_terms=3, max_deg=2),
+           polys(max_terms=3, max_deg=2), small_fracs, small_fracs)
+    def test_compose_matches_evaluation(self, p, gx, gy, x0, y0):
+        value = p.evaluate(gx.evaluate(x0, y0), gy.evaluate(x0, y0))
+        assert p.compose(gx, gy).evaluate(x0, y0) == value
+
+    @settings(max_examples=40)
+    @given(polys(max_deg=2), polys(max_terms=3, max_deg=2), nonzero_dens,
+           polys(max_terms=3, max_deg=2), nonzero_dens, small_fracs, small_fracs)
+    def test_compose_rational_matches_evaluation(self, p, nx, dx, ny, dy, x0, y0):
+        dxv, dyv = dx.evaluate(x0, y0), dy.evaluate(x0, y0)
+        assume(dxv != 0 and dyv != 0)
+        num, den = compose_rational(p, nx, dx, ny, dy)
+        value = p.evaluate(nx.evaluate(x0, y0) / dxv, ny.evaluate(x0, y0) / dyv)
+        assert num.evaluate(x0, y0) == value * den.evaluate(x0, y0)
+        if not p.is_zero:
+            assert den == dx ** p.deg_x() * dy ** p.deg_y()
 
 
 class TestDegreeCap:
