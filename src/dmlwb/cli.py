@@ -56,21 +56,6 @@ class UsageError(Exception):
     """Bad flag combinations or invalid config files (exit code 2)."""
 
 
-def _flag_type(parse):
-    """parse as an argparse type that exits 2 on a domain error or a zero
-    denominator too: argparse itself catches only ValueError and TypeError."""
-    def convert(text: str):
-        try:
-            return parse(text)
-        except DmlwbError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        except ZeroDivisionError as exc:
-            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
-    convert.__name__ = parse.__name__  # argparse names the type in its messages
-    return convert
-
-
-@_flag_type
 def _point_arg(text: str) -> Point:
     return Point(*parse_point(text))
 
@@ -79,7 +64,6 @@ def _place_arg(text: str) -> Place:
     return Place.parse(text)
 
 
-@_flag_type
 def _eps_arg(text: str):
     m = re.fullmatch(r"(\d+)\^(-?\d+)", text.strip())
     if m:
@@ -88,7 +72,6 @@ def _eps_arg(text: str):
     return Fraction(text)
 
 
-@_flag_type
 def _curve_arg(text: str) -> Curve:
     return Curve.from_string(text)
 
@@ -604,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_northcott)
 
     p = sub.add_parser("product-check", help="verify the product formula for a rational")
-    p.add_argument("--value", required=True, type=_flag_type(Fraction))
+    p.add_argument("--value", required=True, type=Fraction)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_product_check)
 
@@ -668,7 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except (DmlwbError, ZeroDivisionError) as exc:
+        # argparse makes a usage error only of a ValueError or TypeError
+        parser.error(f"bad flag value: {exc}")
     try:
         command = args.command
         if command == "dml":

@@ -316,12 +316,7 @@ def _as_fraction(n: int, exps: list[int], primes) -> Fraction:
 def verify_inverse(f1: Poly2, f2: Poly2, g: RationalMap) -> bool:
     """Check that g inverts (f1, f2): both compositions reduce to the identity."""
     f = RationalMap(RatFunc.from_poly(f1), RatFunc.from_poly(f2))
-    if g.compose(f) != _IDENTITY:
-        return False
-    try:
-        return f.compose(g) == _IDENTITY
-    except ZeroDenominatorError:
-        return False
+    return g.compose(f) == _IDENTITY and f.compose(g) == _IDENTITY
 
 
 def compose_map(f: PolyMap, g: PolyMap) -> PolyMap:

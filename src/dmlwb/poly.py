@@ -314,8 +314,10 @@ class Poly2:
             return Poly2.zero()
         pow_x = power_table(gx, self.deg_x())
         pow_y = power_table(gy, self.deg_y())
-        return poly_sum(pow_x[i] * pow_y[j] * Fraction(c, self._d)
-                        for (i, j), c in self._n.items())
+        acc = Poly2.zero()
+        for (i, j), c in self._n.items():
+            acc = acc + pow_x[i] * pow_y[j] * Fraction(c, self._d)
+        return acc
 
     def derivative(self, name: str) -> "Poly2":
         if name == "x":
@@ -390,12 +392,8 @@ def poly_sum(polys: Iterable[Poly2]) -> Poly2:
                 out[k] = v * s
             d *= s
         m = d // e
-        if m == 1:
-            for k, v in p._n.items():
-                out[k] = get(k, 0) + v
-        else:
-            for k, v in p._n.items():
-                out[k] = get(k, 0) + v * m
+        for k, v in p._n.items():
+            out[k] = get(k, 0) + v * m
     return Poly2(out, d)
 
 
