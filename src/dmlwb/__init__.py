@@ -3,8 +3,8 @@
 Everything is computed over Q with exact rationals: orbits, degree
 growth, heights and places, ruled-surface models of triangular maps,
 local metrics and basins, curve periodicity and intersection
-multiplicities, and an empirical classifier for the visit-set
-dichotomy.
+multiplicities, and a classifier for the visit-set dichotomy, proved by
+escape certificates for Hénon-type maps and empirical elsewhere.
 """
 
 __version__ = "0.1.0"

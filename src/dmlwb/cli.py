@@ -56,26 +56,61 @@ class UsageError(Exception):
     """Bad flag combinations or invalid config files (exit code 2)."""
 
 
+# numerators and denominators of --eps; far below the 4300-digit limit
+# of int-to-str conversion that the JSON config echo would hit
+EPS_MAX_BITS = 4096
+
+
+def _flag_type(word: str):
+    """Argparse type from a converter: a value it rejects exits 2 with
+    "argument --flag: invalid <word>: 'text' (reason)"."""
+    def wrap(convert):
+        def parse(text: str):
+            try:
+                return convert(text)
+            except ZeroDivisionError:
+                reason = "zero denominator"
+            except (ValueError, DmlwbError) as exc:
+                reason = str(exc)
+            detail = f" ({reason})" if reason else ""
+            raise argparse.ArgumentTypeError(f"invalid {word}: {text!r}{detail}")
+        return parse
+    return wrap
+
+
+@_flag_type("point")
 def _point_arg(text: str) -> Point:
     return Point(*parse_point(text))
 
 
-def _place_arg(text: str) -> Place:
-    return Place.parse(text)
+_place_arg = _flag_type("place")(Place.parse)
+_rational_arg = _flag_type("rational")(Fraction)
+_curve_arg = _flag_type("curve")(Curve.from_string)
 
 
-def _eps_arg(text: str):
+@_flag_type("positive rational")
+def _eps_arg(text: str) -> Fraction:
     m = re.fullmatch(r"(\d+)\^(-?\d+)", text.strip())
     if m:
         base, k = int(m.group(1)), int(m.group(2))
-        return Fraction(base) ** k
-    return Fraction(text)
+        # base^|k| has at least |k| * (bit_length - 1) bits: refuse before computing
+        if abs(k) * (base.bit_length() - 1) > EPS_MAX_BITS:
+            raise ValueError(f"more than {EPS_MAX_BITS} bits")
+        eps = Fraction(base) ** k
+    else:
+        m = re.search(r"[eE]([+-]?\d+)$", text.strip())
+        # 10^e has more than 3e bits
+        if m and 3 * abs(int(m.group(1))) > EPS_MAX_BITS:
+            raise ValueError(f"more than {EPS_MAX_BITS} bits")
+        eps = Fraction(text)
+    if eps <= 0:
+        raise ValueError("must be positive")
+    if max(eps.numerator.bit_length(), eps.denominator.bit_length()) > EPS_MAX_BITS:
+        raise ValueError(f"more than {EPS_MAX_BITS} bits")
+    return eps
 
 
-def _curve_arg(text: str) -> Curve:
-    return Curve.from_string(text)
-
-
+@_flag_type("positive integer")
 def _positive_int(text: str) -> int:
     n = int(text)
     if n <= 0:
@@ -587,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_northcott)
 
     p = sub.add_parser("product-check", help="verify the product formula for a rational")
-    p.add_argument("--value", required=True, type=Fraction)
+    p.add_argument("--value", required=True, type=_rational_arg)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_product_check)
 
@@ -651,12 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except (DmlwbError, ZeroDivisionError) as exc:
-        # argparse makes a usage error only of a ValueError or TypeError
-        parser.error(f"bad flag value: {exc}")
+    args = build_parser().parse_args(argv)
     try:
         command = args.command
         if command == "dml":

@@ -1,26 +1,33 @@
 """Orbits, visit sets, arithmetic-progression structure, and the
 dichotomy classifier.
 
-The classifier is empirical: at a finite horizon "infinite visits" is
-operationally a periodic tail observed on the prefix (membership
-a-periodic over a window of at least 3a).  When such a tail is observed
-the classifier hunts for the two admissible explanations, an exactly
-repeating orbit or a periodic curve, and only reports VIOLATION when
-both searches ran to completion and found nothing.  On a reducible
-curve the periodic curve may be a component: when the whole curve has
-no period, the components that carry an observed tail are searched.  Guard-truncated
-data never produces a VIOLATION verdict; it is reported as undetermined
-with the guard on record.
+For Hénon-type maps, f = (y, p(y) - delta*x) with deg p >= 2, the
+classifier first looks for an escape certificate (module escape): a
+place where the orbit enters a forward-invariant escape region, and a
+step after which it provably never meets the curve.  Such a report is
+finite_visits, proved, and rests only on the orbit up to that step.
+
+Otherwise the classifier is empirical: at a finite horizon "infinite
+visits" is operationally a periodic tail observed on the prefix
+(membership a-periodic over a window of at least 3a).  When such a tail
+is observed the classifier hunts for the two admissible explanations,
+an exactly repeating orbit or a periodic curve, and only reports
+VIOLATION when both searches ran to completion and found nothing.  On a
+reducible curve the periodic curve may be a component: when the whole
+curve has no period, the components that carry an observed tail are
+searched.  Guard-truncated data never produces a VIOLATION verdict; it
+is reported as undetermined with the guard on record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .curves import Curve, is_periodic_curve
 from .errors import DegreeCapError
+from .escape import certify, escape_watch
 from .maps import Point, PolyMap
 from .places import height_affine
 from .poly import get_degree_cap, set_degree_cap
@@ -48,7 +55,8 @@ class OrbitResult:
     cycle = (tail, period) means points[tail + k] repeats with the given
     period forever; it is certified by an exact coordinate repetition.
     guard_hit records that the coefficient-size guard stopped iteration
-    early, so the prefix is all we know.
+    early, so the prefix is all we know.  Fewer than horizon + 1 points
+    with neither means that the caller's stop ended the run (see orbit).
     """
 
     points: tuple[Point, ...]
@@ -73,9 +81,10 @@ class OrbitResult:
         """The orbit to M <= horizon, equal to orbit(f, p, M, bit_guard).
 
         The shorter run computes the same points up to step M.  It meets
-        the repetition or the guard that ended this run only when that
-        step is at most M, which is when fewer than M + 1 points were
-        kept; otherwise it ends at M with neither.
+        the repetition, the guard or the stop that ended this run only
+        when that step is at most M, which is when fewer than M + 1
+        points were kept; otherwise it ends at M with none of them.  A
+        run ended by a stop is a prefix of the run with the same stop.
         """
         if not 0 <= M <= self.horizon:
             raise ValueError(f"prefix length must lie in [0, {self.horizon}]")
@@ -85,12 +94,18 @@ class OrbitResult:
 
 
 def orbit(
-    f: PolyMap, p: Point, N: int, bit_guard: int = DEFAULT_BIT_GUARD
+    f: PolyMap,
+    p: Point,
+    N: int,
+    bit_guard: int = DEFAULT_BIT_GUARD,
+    stop: Optional[Callable[[Point], bool]] = None,
 ) -> OrbitResult:
     """Exact orbit p, f(p), ..., f^N(p) with cycle detection.
 
     Iteration stops at the first exact repetition (the rest of the
     orbit is determined) or when a coordinate exceeds bit_guard bits.
+    stop, if given, is called on f(p), f^2(p), ... as each is kept; the
+    run ends after the first point on which it returns True.
     """
     if N < 0:
         raise ValueError("orbit length must be nonnegative")
@@ -111,6 +126,8 @@ def orbit(
             break
         seen[key] = k
         points.append(current)
+        if stop is not None and stop(current):
+            break
     return OrbitResult(
         points=tuple(points), cycle=cycle, guard_hit=guard_hit, horizon=N
     )
@@ -230,7 +247,9 @@ class DmlReport:
     without success; on a reducible curve the period search must also
     have failed, uncapped, on a component carrying an observed tail.
     A reducible curve's witness may be the lcm of the periods of those
-    components, a period of their union.
+    components, a period of their union.  A finite_visits report whose
+    notes hold an escape certificate is proved for every n, not only up
+    to the horizon.
     """
 
     visit_set: tuple[int, ...]
@@ -307,11 +326,11 @@ def dml_classify(
     Computes the exact visit set, decomposes it into progressions, and
     when an infinite pattern is observed searches for the two
     admissible explanations.  Guards are recorded in the report, never
-    silently dropped.
+    silently dropped.  The orbit stops at the step that completes an
+    escape certificate, the last one the report reads.
     """
-    return classify_orbit(
-        f, C, orbit(f, p, N, bit_guard), K=K, curve_search_cap=curve_search_cap
-    )
+    res = orbit(f, p, N, bit_guard, stop=escape_watch(f, C.equation, p))
+    return classify_orbit(f, C, res, K=K, curve_search_cap=curve_search_cap)
 
 
 def classify_orbit(
@@ -324,9 +343,25 @@ def classify_orbit(
     """dml_classify on an orbit already computed, res = orbit(f, p, N, ...).
 
     The orbit depends on neither C nor K, so one orbit serves every
-    curve; the horizon N is res.horizon.
+    curve; the horizon N is res.horizon.  An escape certificate is read
+    from the points up to its bound n1 alone, so the report is the same
+    for every orbit that reaches n1.
     """
     N = res.horizon
+    escape = certify(f, C.equation, res.points) if res.cycle is None else None
+    if escape is not None:
+        visits = [n for n in range(escape.bound) if C.contains(res.points[n])]
+        return DmlReport(
+            visit_set=tuple(visits),
+            ap=ap_decompose(set(visits), N),
+            preperiodic_witness=None,
+            curve_period_witness=None,
+            height_trace=tuple(height_affine(res.points[n]) for n in visits),
+            verdict=VERDICT_FINITE,
+            horizon=N,
+            max_period=K,
+            notes=(escape.note(),),
+        )
     visits = orbit_visits(res, C)
     notes: list[str] = []
     truncated = res.guard_hit and res.cycle is None
@@ -345,8 +380,8 @@ def classify_orbit(
     pre_witness = res.cycle
     curve_witness: Optional[int] = None
     curve_capped = False
-    certified = bool(ap.progressions) and not truncated
-    if certified:
+    tail_observed = bool(ap.progressions) and not truncated
+    if tail_observed:
         curve_witness, curve_capped = _curve_period_capped(
             C, f, K, curve_search_cap
         )
@@ -355,29 +390,29 @@ def classify_orbit(
                 f"curve period search hit the degree cap before reaching K = {K}"
             )
     no_tail_component = False
-    if (certified and pre_witness is None and curve_witness is None
+    if (tail_observed and pre_witness is None and curve_witness is None
             and not curve_capped and not C.is_irreducible):
         # e.g. a line pair whose one line has period 2 and carries every
         # second point of the orbit: the pair itself has no period
         tails = _tail_components(C, res, visits, N)
         no_tail_component = not tails
         if no_tail_component:
-            notes.append("no single component carries a certified visit tail")
+            notes.append("no single component carries an observed visit tail")
         for D in tails:
             k, curve_capped = _curve_period_capped(D, f, K, curve_search_cap)
             if k is None:
                 outcome = ("hit the degree cap" if curve_capped
                            else f"found no period <= {K}")
-                notes.append(f"component {D} carries a certified visit tail; "
+                notes.append(f"component {D} carries an observed visit tail; "
                              f"its period search {outcome}")
                 curve_witness = None
                 break
-            notes.append(f"component {D} carries a certified visit tail "
+            notes.append(f"component {D} carries an observed visit tail "
                          f"and has period {k}")
             curve_witness = math.lcm(curve_witness or 1, k)
     if truncated:
         verdict = VERDICT_UNDETERMINED
-    elif not certified:
+    elif not tail_observed:
         verdict = VERDICT_FINITE
     elif pre_witness is not None:
         verdict = VERDICT_PREPERIODIC
@@ -388,7 +423,7 @@ def classify_orbit(
     else:
         verdict = VERDICT_VIOLATION
         notes.append(
-            "certified periodic visit tail with no preperiodic orbit and "
+            "observed periodic visit tail with no preperiodic orbit and "
             "no curve period <= K: contradicts the dichotomy"
         )
     return DmlReport(

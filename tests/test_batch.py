@@ -99,6 +99,16 @@ def test_items_equal_those_computed_on_their_own(config_file):
     assert {it["local"] is None for it in items} == {True, False}
 
 
+def test_henon_items_are_proved_by_escape_certificates(config_file):
+    cfg, inputs = load_batch(config_file)
+    henon = [it["dml"] for it in run_batch(cfg, inputs) if it["map"].endswith("henon.json")]
+    certified = [d for d in henon if d["notes"][:1] and
+                 d["notes"][0].startswith("escape certificate")]
+    assert certified
+    assert all(d["verdict"] == "finite_visits" for d in certified)
+    assert not any(d["guards"]["orbit_guard_hit"] for d in certified)
+
+
 def test_local_orbit_beyond_the_classify_horizon(tmp_path, monkeypatch):
     """With M > N the local-probe orbit is no prefix and runs on its own."""
     horizons = []

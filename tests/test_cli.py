@@ -308,6 +308,42 @@ def test_malformed_flag_value_is_usage_error(capsys, triang_file, argv):
     assert "error: " in captured.err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, flag, word", [
+    (["height", "--point", "abc"], "--point", "point"),
+    (["height", "--point", "1/0,2"], "--point", "point"),
+    (["basin", "--map", MAP, "--point", "1,1", "--place", "0"], "--place", "place"),
+    (["basin", "--map", MAP, "--point", "1,1", "--target", "x"], "--target", "point"),
+    (["curve-period", "--map", MAP, "--curve", "0"], "--curve", "curve"),
+    (["intersect", "--c1", "x/y", "--c2", "y", "--at", "0,0"], "--c1", "curve"),
+    (["degrees", "--map", MAP, "--horizon", "0"], "--horizon", "positive integer"),
+    (["dml", "scan", "--map", MAP, "--curve", "y", "--point", "0,0",
+      "--bit-guard", "x"], "--bit-guard", "positive integer"),
+    (["product-check", "--value", "1/0"], "--value", "rational"),
+    (["basin", "--map", MAP, "--point", "1,1", "--eps", "1/0"], "--eps", "positive rational"),
+], ids=["point-text", "point-zero-den", "place", "target", "curve", "curve-by-y",
+        "horizon", "bit-guard", "value", "eps-zero-den"])
+def test_flag_value_errors_name_the_flag_and_a_type(capsys, triang_file, argv, flag, word):
+    argv = [triang_file if a is MAP else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"error: argument {flag}: invalid {word}: " in last
+    assert "_arg" not in last and "_positive_int" not in last
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "-1/3", "2^-99999999", "1e-99999999"])
+def test_eps_must_be_positive_and_of_bounded_size(capsys, triang_file, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["basin", "--map", triang_file, "--point", "1,1", f"--eps={eps}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert errors == [f"dmlwb basin: error: argument --eps: invalid positive rational: "
+                      f"{eps!r} ({'must be positive' if eps.startswith(('0', '-')) else 'more than 4096 bits'})"]
+
+
 class TestBatch:
     @pytest.fixture
     def config_file(self, tmp_path, triang_file, flip_file):

@@ -361,7 +361,7 @@ class TestDmlClassify:
 
     def test_no_component_carries_a_tail(self):
         # each of the five vertical lines is visited once, so the union
-        # has a certified tail while no single component has one
+        # has an observed tail while no single component has one
         rep = dml_classify(
             pmap("x + 1", "y"),
             curve("x*(x - 1)*(x - 2)*(x - 3)*(x - 4)"),
@@ -374,7 +374,7 @@ class TestDmlClassify:
         assert rep.curve_period_witness is None
         assert not rep.curve_search_capped
         assert rep.verdict == "undetermined"
-        assert rep.notes == ("no single component carries a certified visit tail",)
+        assert rep.notes == ("no single component carries an observed visit tail",)
 
     def test_heights_follow_visits(self):
         rep = dml_classify(pmap("x + 1", "-y"), curve("y - 1"), point(0, 1), N=6)
@@ -448,7 +448,7 @@ class TestVerdictPaths:
         assert not rep.curve_search_capped
         assert rep.verdict == "VIOLATION"
         assert rep.notes == (
-            "certified periodic visit tail with no preperiodic orbit and "
+            "observed periodic visit tail with no preperiodic orbit and "
             "no curve period <= K: contradicts the dichotomy",
         )
 
@@ -458,7 +458,7 @@ class TestVerdictPaths:
         assert rep.ap.progressions == ((1, 0),)
         assert rep.verdict == "VIOLATION"
         assert rep.notes[0] == (
-            f"component {D} carries a certified visit tail; "
+            f"component {D} carries an observed visit tail; "
             "its period search found no period <= 4"
         )
         assert len(rep.notes) == 2 and "contradicts the dichotomy" in rep.notes[1]
@@ -473,7 +473,7 @@ class TestVerdictPaths:
         assert rep.curve_period_witness is None
         assert rep.verdict == "undetermined"
         assert rep.notes == (
-            f"component {D} carries a certified visit tail; "
+            f"component {D} carries an observed visit tail; "
             "its period search hit the degree cap",
         )
 
