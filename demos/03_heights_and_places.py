@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
+from dmlwb.dml import height_growth_probe
 from dmlwb.maps import PolyMap, point
 from dmlwb.parsing import parse_poly
 from dmlwb.places import (
     Place,
     abs_value,
     height_affine,
-    height_growth_probe,
     northcott_enumerate,
     product_formula_check,
     relevant_places,

@@ -56,3 +56,6 @@ EOF
 sed -i "s#MAPDIR#$WORK#g" "$WORK/config.json"
 dmlwb batch --config "$WORK/config.json" --jobs 2 --out "$WORK/batch.json"
 echo "batch wrote $(wc -c < "$WORK/batch.json") bytes"
+
+echo '== planar basin toward a fixed point; the bit guard ends the Henon orbit'
+dmlwb basin --map "$WORK/henon.json" --model p2 --target 0,0 --point 1,2

@@ -44,6 +44,7 @@ from .dml import (
     OrbitResult,
     ap_decompose,
     dml_classify,
+    height_growth_probe,
     orbit,
     visit_set,
 )
@@ -89,6 +90,7 @@ from .metrics import (
     BasinReport,
     LocalDmlReport,
     MetricSample,
+    basin_on_orbit,
     basin_probe,
     local_dml_probe,
     metric_dv,
@@ -100,7 +102,6 @@ from .places import (
     abs_value,
     embed_P2,
     height_affine,
-    height_growth_probe,
     northcott_enumerate,
     ord_p,
     product_formula_check,

@@ -38,7 +38,7 @@ from .dml import (
 from .errors import DmlwbError, NotTriangularError
 from .hirzebruch import FnModel, contracted_image_check, indeterminacy_fn
 from .maps import Point, PolyMap, load_map, map_to_json_dict
-from .metrics import DEFAULT_EPS, basin_probe, local_verdict
+from .metrics import DEFAULT_EPS, basin_on_orbit, basin_probe, local_verdict
 from .parsing import parse_point
 from .places import (
     Place,
@@ -533,12 +533,12 @@ def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
     and only when an item reads it: the F_n model per map; the orbit of
     each point to N, and for a triangular map to M for the local probe
     (read off the first when M <= N), per (map, point); the
-    classification per (map, point, curve); the basin probe per
-    (map, point, place); the local verdict per item.  A map is
-    triangular exactly when its model exists, and the model's affine
-    map is then f itself, so the local probe steps f.  Only one
-    (map, point) group's orbits are alive at a time.  The work is
-    pure-Python exact arithmetic, so it runs serially in this process.
+    classification per (map, point, curve); the basin per (map, point,
+    place), along the local-probe orbit; the local verdict per item.  A
+    map is triangular exactly when its model exists, and its plane map
+    is then f itself.  Only one (map, point) group's orbits are alive at
+    a time.  The work is pure-Python exact arithmetic, so it runs
+    serially in this process.
     """
     n_c, n_p, n_v = len(inputs.curves), len(inputs.points), len(inputs.places)
     reports: list = [None] * (len(inputs.maps) * n_c * n_p * n_v)
@@ -550,8 +550,9 @@ def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
                 res().prefix(cfg.M) if cfg.M <= cfg.N
                 else orbit(f, p, cfg.M, cfg.bit_guard)
             ))
+            # model() first: a non-triangular map raises before the local orbit
             basins = [
-                _once(lambda v=v: basin_probe(model(), p, None, v, cfg.M))
+                _once(lambda v=v: basin_on_orbit(model(), local_res(), None, v))
                 for v in inputs.places
             ]
             for i_c, C in enumerate(inputs.curves):
@@ -566,8 +567,6 @@ def run_batch(cfg: ExperimentConfig, inputs: BatchInputs) -> list[dict]:
                         "place": cfg.places[i_v],
                     }
                     slot = ((i_m * n_c + i_c) * n_p + i_p) * n_v + i_v
-                    # basin() reads the model first, so a map that is not
-                    # triangular raises NotTriangularError before the local orbit
                     reports[slot] = _item_report(names, dml, lambda: local_verdict(
                         f, C, basin(), local_res()
                     ))

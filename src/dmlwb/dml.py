@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .curves import Curve, is_periodic_curve
 from .errors import DegreeCapError
@@ -76,6 +76,11 @@ class OrbitResult:
     @property
     def last_computed(self) -> int:
         return len(self.points) - 1
+
+    @property
+    def last_known(self) -> int:
+        """The last n that point_at answers (past the prefix via the cycle)."""
+        return self.horizon if self.cycle is not None else self.last_computed
 
     def prefix(self, M: int) -> "OrbitResult":
         """The orbit to M <= horizon, equal to orbit(f, p, M, bit_guard).
@@ -135,18 +140,11 @@ def orbit(
 
 def orbit_visits(res: OrbitResult, C: Curve) -> list[int]:
     """Visit times within [0, horizon], cycle-extended when possible."""
-    out = []
-    computed = len(res.points)
     member = [C.contains(pt) for pt in res.points]
-    for n in range(computed):
-        if member[n]:
-            out.append(n)
-    if res.cycle is not None:
-        tail, period = res.cycle
-        for n in range(computed, res.horizon + 1):
-            if member[tail + (n - tail) % period]:
-                out.append(n)
-    return out
+    computed = len(member)
+    tail, period = res.cycle or (0, 1)
+    return [n for n in range(res.last_known + 1)
+            if member[n if n < computed else tail + (n - tail) % period]]
 
 
 def visit_set(
@@ -164,6 +162,27 @@ def visit_set(
     read the orbit's guard_hit.
     """
     return orbit_visits(orbit(f, p, N, bit_guard), C)
+
+
+class GrowthSample(NamedTuple):
+    n: int
+    height: int
+    log_ratio: Optional[float]
+
+
+def height_growth_probe(f: PolyMap, p: Point, N: int) -> list[GrowthSample]:
+    """Heights along the orbit with log H(f^(n+1)p) / log H(f^n p) diagnostics.
+
+    Reads orbit(f, p, N + 1): when its default bit guard stops it at step
+    L <= N, the list ends early, at n = L - 1.  The ratio is None when
+    either height is 1, since the logarithm quotient degenerates there.
+    """
+    res = orbit(f, p, N + 1)
+    heights = [height_affine(res.point_at(n)) for n in range(res.last_known + 1)]
+    return [
+        GrowthSample(n, h, math.log(h1) / math.log(h) if h > 1 and h1 > 1 else None)
+        for n, (h, h1) in enumerate(zip(heights, heights[1:]))
+    ]
 
 
 @dataclass(frozen=True)

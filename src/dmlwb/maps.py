@@ -214,10 +214,6 @@ class PolyMap:
                 "claimed inverse does not invert the map"
             )
 
-    @classmethod
-    def identity(cls) -> "PolyMap":
-        return cls(Poly2.variable("x"), Poly2.variable("y"), _IDENTITY)
-
     def apply(self, p: Point) -> Point:
         return Point(self.f1.evaluate(p.x, p.y), self.f2.evaluate(p.x, p.y))
 

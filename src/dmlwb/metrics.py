@@ -10,6 +10,9 @@ distances are measured in the canonical chart (u, w) = (x2/x1,
 x1^n*x4/x3) as max(|u|_v, |w|_v); metrics from different embeddings are
 equivalent, so the chart metric is a legitimate stand-in.
 
+No probe steps a map: basin_on_orbit reads a bit-guarded orbit from
+dml.orbit, and on an F_n model reads the chart at embed_A2 of its points.
+
 Every distance is an exact rational, and the basin probe decides
 "below eps" and "strictly decreasing" on those exact values.  At the
 archimedean place metric_dv and the JSON form of a sample report the
@@ -25,8 +28,8 @@ from typing import Optional, Sequence, Union
 
 from .curves import is_fixed_curve
 from .dml import DEFAULT_BIT_GUARD, OrbitResult, orbit, orbit_visits
-from .errors import ChartDomainError, IndeterminacyError
-from .hirzebruch import FnModel, FnPoint, chart_around_Q, embed_A2, fixed_point_Q
+from .errors import ChartDomainError
+from .hirzebruch import FnModel, chart_around_Q, embed_A2, fixed_point_Q
 from .maps import Point, PolyMap
 from .places import Place, ProjPoint, abs_value, embed_P2
 from .poly import as_fraction
@@ -84,7 +87,7 @@ class MetricSample:
 
 @dataclass(frozen=True)
 class BasinReport:
-    verdict: str  # converged_at | not_converged | hit_indeterminacy | reached_Q
+    verdict: str  # converged_at | not_converged | reached_Q
     at: Optional[int]
     samples: tuple[MetricSample, ...]
     place: Place
@@ -125,41 +128,37 @@ def _certified_at(samples: list[MetricSample]) -> Optional[int]:
     return tail[-1].n
 
 
-def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
-    """Iterate toward the fixed point Q and measure d_v each step.
+def basin_on_orbit(model, res: OrbitResult, Q, v: Place, eps=DEFAULT_EPS) -> BasinReport:
+    """Measure d_v toward the fixed point Q along res, the orbit of the
+    probed point under the model's plane map.
 
-    model: FnModel (chart metric near [1,0,1,0]) or PolyMap (affine data
-    through the projective-plane embedding).  p and Q are Points, or
-    FnPoints for an FnModel.  Q must be fixed; for an FnModel, Q defaults
-    to [1, 0, 1, 0] when None.  eps is exact: a float raises TypeError.
+    model: FnModel (Q None; the chart around [1, 0, 1, 0] at embed_A2 of
+    each orbit point) or PolyMap (Q a fixed Point; through embed_P2).
+    Samples run to res.horizon through a certified cycle, or end at the
+    guard with a note.  eps is exact: a float raises TypeError.
     Convergence is certified by 5 consecutive strictly decreasing
     samples below eps.
     """
     eps = as_fraction(eps)
     notes: list[str] = []
     if isinstance(model, FnModel):
-        if Q is None:
-            Q = fixed_point_Q(model.n)
-        if not isinstance(Q, FnPoint):
-            Q = embed_A2(Q, model.n)
-        if model.apply(Q) != Q:
-            raise ValueError(f"{Q} is not fixed by the model")
-        current = p if isinstance(p, FnPoint) else embed_A2(p, model.n)
-        qu, qw = chart_around_Q(Q)
+        if Q is not None:
+            raise ValueError("F_n probes converge to [1, 0, 1, 0]; pass Q=None")
+        if not model.is_stable:  # Q is fixed unless apply raises there
+            model.apply(fixed_point_Q(model.n))
 
         def distance(P):
             try:
-                u, w = chart_around_Q(P)
+                u, w = chart_around_Q(embed_A2(P, model.n))
             except ChartDomainError:
                 return None
-            return max(abs_value(u - qu, v), abs_value(w - qw, v))
+            return max(abs_value(u, v), abs_value(w, v))
 
     elif isinstance(model, PolyMap):
         if Q is None:
             raise ValueError("planar probes need an explicit fixed point Q")
         if model.apply(Q) != Q:
             raise ValueError(f"{Q} is not fixed by the map")
-        current = p
         q_proj = embed_P2(Q)
         notes.append(
             "planar probe: indeterminacy-side hypotheses on Q are unverified"
@@ -169,14 +168,15 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
             return _metric_exact(embed_P2(P), q_proj, v)
 
     else:
-        raise TypeError("basin_probe expects an FnModel or a PolyMap")
+        raise TypeError("basin probes expect an FnModel or a PolyMap")
 
     samples: list[MetricSample] = []
 
     def report(verdict: str, at: Optional[int]) -> BasinReport:
         return BasinReport(verdict, at, tuple(samples), v, eps, tuple(notes))
 
-    for n in range(N + 1):
+    for n in range(res.last_known + 1):
+        current = res.point_at(n)
         if current == Q:
             return report("reached_Q", n)
         dist = distance(current)
@@ -186,13 +186,16 @@ def basin_probe(model, p, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
         at = _certified_at(samples)
         if at is not None:
             return report("converged_at", at)
-        if n < N:
-            try:
-                current = model.apply(current)
-            except IndeterminacyError:
-                notes.append(f"indeterminate image at step {n + 1}")
-                return report("hit_indeterminacy", n + 1)
+    if res.guard_hit:
+        notes.append(f"orbit guard ended the probe after step {res.last_known}")
     return report("not_converged", None)
+
+
+def basin_probe(model, p: Point, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
+    """basin_on_orbit along orbit(f, p, N) under the model's plane map f,
+    coordinates capped at DEFAULT_BIT_GUARD bits."""
+    f = model.plane_map() if isinstance(model, FnModel) else model
+    return basin_on_orbit(model, orbit(f, p, N), Q, v, eps)
 
 
 @dataclass(frozen=True)
@@ -229,15 +232,13 @@ def local_dml_probe(
     """Empirical local dichotomy: attraction to Q plus many visits to C
     force either an orbit landing on Q exactly or a fixed curve.
 
-    Runs basin_probe and the orbit of p up to N (coordinates capped at
-    bit_guard bits), then hands both to local_verdict.
+    Computes the orbit of p up to N (coordinates capped at bit_guard
+    bits) once, and hands it to basin_on_orbit and local_verdict.
     """
-    basin = basin_probe(model, p, Q, v, N, eps)
-    if isinstance(model, FnModel):
-        f, q = model.plane_map(), None
-    else:
-        f, q = model, Q
-    return local_verdict(f, C, basin, orbit(f, p, N, bit_guard), q, visit_threshold)
+    f = model.plane_map() if isinstance(model, FnModel) else model
+    res = orbit(f, p, N, bit_guard)
+    basin = basin_on_orbit(model, res, Q, v, eps)
+    return local_verdict(f, C, basin, res, Q, visit_threshold)
 
 
 def local_verdict(

@@ -194,7 +194,13 @@ def parse_point(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise PolyParseError("expected two comma-separated coordinates", 0)
-    try:
-        return Fraction(parts[0].strip()), Fraction(parts[1].strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolyParseError(f"bad coordinate: {exc}", 0) from None
+    coords = []
+    for part, start in zip(parts, (0, len(parts[0]) + 1)):
+        pos, entry = start + len(part) - len(part.lstrip()), part.strip()
+        try:
+            coords.append(Fraction(entry))
+        except ValueError as exc:
+            raise PolyParseError(f"bad coordinate: {exc}", pos) from None
+        except ZeroDivisionError:
+            raise PolyParseError(f"zero denominator in {entry!r}", pos) from None
+    return coords[0], coords[1]

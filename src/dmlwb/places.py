@@ -1,4 +1,4 @@
-"""Places of Q, absolute values, heights, and height-growth probes.
+"""Places of Q, absolute values, and heights.
 
 The ground field is Q throughout, so there is a single archimedean place
 and one finite place per prime, every local degree is 1, and the height
@@ -12,11 +12,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .arith import factorize, is_prime, valuation
 from .errors import ResourceCapError
-from .maps import Point, PolyMap
+from .maps import Point
 from .poly import as_fraction
 
 RatLike = Union[int, Fraction, str]
@@ -171,28 +171,4 @@ def northcott_enumerate(B: int, dim: int) -> list[ProjPoint]:
             if next((c for c in coords if c), 0) > 0 and math.gcd(*coords) == 1:
                 out.append(ProjPoint(coords))
     out.sort(key=lambda q: q.coords)
-    return out
-
-
-class GrowthSample(NamedTuple):
-    n: int
-    height: int
-    log_ratio: Optional[float]
-
-
-def height_growth_probe(f: PolyMap, p: Point, N: int) -> list[GrowthSample]:
-    """Heights along the orbit with log H(f^(n+1)p) / log H(f^n p) diagnostics.
-
-    The ratio is omitted (None) whenever either height is 1, since the
-    logarithm quotient degenerates there.
-    """
-    pts = [p, *itertools.islice(f.iterates(p), N + 1)]
-    heights = [height_affine(q) for q in pts]
-    out = []
-    for n in range(N + 1):
-        h, h_next = heights[n], heights[n + 1]
-        ratio = None
-        if h > 1 and h_next > 1:
-            ratio = math.log(h_next) / math.log(h)
-        out.append(GrowthSample(n, h, ratio))
     return out

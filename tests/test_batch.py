@@ -128,20 +128,20 @@ def test_local_orbit_beyond_the_classify_horizon(tmp_path, monkeypatch):
 def test_shared_stage_errors_reach_every_item(config_file, monkeypatch):
     """A failed basin probe leaves "dml" set; a failed classification
     leaves no "dml"; a map that is not triangular still has local None."""
-    probe, classify = metrics.basin_probe, cli.classify_orbit
+    probe, classify = metrics.basin_on_orbit, cli.classify_orbit
 
-    def failing_probe(model, p, Q, v, *args, **kwargs):
+    def failing_probe(model, res, Q, v, *args, **kwargs):
         if v == Place.finite(2):
             raise ValueError("probe failed at 2")
-        return probe(model, p, Q, v, *args, **kwargs)
+        return probe(model, res, Q, v, *args, **kwargs)
 
     def failing_classify(f, C, res, *args, **kwargs):
         if C == Curve.from_string("y - x"):
             raise DmlwbError("classification failed")
         return classify(f, C, res, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "basin_probe", failing_probe)
-    monkeypatch.setattr(cli, "basin_probe", failing_probe)
+    monkeypatch.setattr(metrics, "basin_on_orbit", failing_probe)
+    monkeypatch.setattr(cli, "basin_on_orbit", failing_probe)
     monkeypatch.setattr(cli, "classify_orbit", failing_classify)
     cfg, inputs = load_batch(config_file)
     items = run_batch(cfg, inputs)
@@ -178,7 +178,7 @@ def test_no_local_stage_when_every_classification_fails(config_file, monkeypatch
         return wrapper
 
     monkeypatch.setattr(cli, "classify_orbit", failing_classify)
-    monkeypatch.setattr(cli, "basin_probe", counted("basin", cli.basin_probe))
+    monkeypatch.setattr(cli, "basin_on_orbit", counted("basin", cli.basin_on_orbit))
     monkeypatch.setattr(cli, "orbit", counted("orbit", cli.orbit))
     cfg, inputs = load_batch(config_file)
     items = run_batch(cfg, inputs)
@@ -200,7 +200,7 @@ def test_each_result_computed_once(config_file, tmp_path, monkeypatch):
 
     count(cli, "orbit", "orbit")
     count(cli, "classify_orbit", "classify")
-    count(cli, "basin_probe", "basin")
+    count(cli, "basin_on_orbit", "basin")
     count(cli, "load_map", "load_map")
     count(curves, "factor_poly", "factor_poly")
     count(FnModel, "from_map", "from_map")

@@ -207,6 +207,17 @@ class TestBasin:
         doc = run_json(capsys, ["basin", "--map", triang_file, "--point", "1,1"])
         assert doc["config"]["target"] is None
 
+    def test_p2_henon_orbit_ends_at_the_bit_guard(self, capsys, henon_file):
+        # the default horizon 50 is far past the default 10^6-bit guard
+        doc = run_json(capsys, ["basin", "--map", henon_file, "--model", "p2",
+                                "--target", "0,0", "--point", "1,2"])
+        result = doc["result"]
+        assert result["verdict"] == "not_converged"
+        assert len(result["samples"]) < 51
+        assert result["notes"][-1] == (
+            f"orbit guard ended the probe after step {len(result['samples']) - 1}"
+        )
+
     def test_bad_model_tag(self, capsys, triang_file):
         code = main(["basin", "--map", triang_file, "--model", "zeta",
                      "--point", "1,1"])
@@ -332,6 +343,16 @@ def test_flag_value_errors_name_the_flag_and_a_type(capsys, triang_file, argv, f
     assert "_arg" not in last and "_positive_int" not in last
 
 
+@pytest.mark.parametrize("text, pos", [("1/0,2", 0), ("1, 3/0", 3)])
+def test_point_zero_denominator_is_named_at_its_offset(capsys, text, pos):
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "--point", text])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"syntax error at position {pos}: zero denominator in '" in last
+    assert "Fraction(" not in last
+
+
 @pytest.mark.parametrize("eps", ["0", "-1", "-1/3", "2^-99999999", "1e-99999999"])
 def test_eps_must_be_positive_and_of_bounded_size(capsys, triang_file, eps):
     with pytest.raises(SystemExit) as exc:
@@ -384,13 +405,6 @@ class TestBatch:
                      "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_env_override(self, config_file, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["batch", "--config", config_file, "--out", str(out1)]) == 0
-        monkeypatch.setenv("DMLWB_JOBS", "4")
-        assert main(["batch", "--config", config_file, "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_zero_jobs_is_usage_error(self, config_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["batch", "--config", config_file, "--jobs", "0"])
@@ -424,6 +438,17 @@ class TestBatch:
         path.write_text(json.dumps(cfg))
         assert main(["batch", "--config", str(path)]) == 2
         assert "bad curve" in capsys.readouterr().err
+
+    def test_point_with_zero_denominator_rejected_at_load(self, tmp_path, triang_file,
+                                                          capsys):
+        cfg = {"maps": [triang_file], "curves": ["y"], "points": ["1,2/0"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["batch", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad point '1,2/0'" in err
+        assert "position 2: zero denominator in '2/0'" in err
+        assert "Fraction(" not in err
 
     def test_inline_map_object_rejected_at_load(self, tmp_path, capsys):
         # maps entries are file paths, not inline map objects

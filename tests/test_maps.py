@@ -104,10 +104,6 @@ class TestPolyMap:
         assert henon().algebraic_degree() == 2
         assert triangular().algebraic_degree() == 5
 
-    def test_identity(self):
-        e = PolyMap.identity()
-        assert e.apply(point(4, 5)) == Point(Fraction(4), Fraction(5))
-
 
 class TestComposition:
     def test_compose_is_f_after_g(self):

@@ -1,5 +1,6 @@
 """Place-by-place projective metrics, basin probes, local dichotomy checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,19 @@ from hypothesis import strategies as st
 
 from dmlwb import metrics
 from dmlwb.curves import Curve
-from dmlwb.hirzebruch import FnModel, FnPoint, embed_A2, fixed_point_Q
+from dmlwb.dml import orbit
+from dmlwb.errors import ChartDomainError
+from dmlwb.hirzebruch import FnModel, chart_around_Q, embed_A2
 from dmlwb.maps import PolyMap, point
 from dmlwb.metrics import (
     DEFAULT_EPS,
+    basin_on_orbit,
     basin_probe,
     local_dml_probe,
     metric_dv,
 )
 from dmlwb.parsing import parse_poly
-from dmlwb.places import Place, ProjPoint
+from dmlwb.places import Place, ProjPoint, abs_value
 
 INF = Place.archimedean()
 
@@ -129,17 +133,6 @@ class TestBasinProbe:
         assert rep.verdict == "not_converged"
         assert not rep.converged
 
-    def test_reached_Q(self):
-        m = tri_model()
-        rep = basin_probe(m, fixed_point_Q(3), None, INF, 5)
-        assert rep.verdict == "reached_Q" and rep.at == 0
-
-    def test_hit_indeterminacy(self):
-        m = tri_model()
-        P = FnPoint(3, (1, 0, 0, 1))
-        rep = basin_probe(m, P, None, INF, 5)
-        assert rep.verdict == "hit_indeterminacy"
-
     def test_planar_probe(self):
         f = PolyMap(parse_poly("1/2*x"), parse_poly("1/2*y"))
         rep = basin_probe(f, point(1, 1), point(0, 0), INF, 40)
@@ -157,6 +150,80 @@ class TestBasinProbe:
         assert set(d) == {"verdict", "at", "place", "eps", "samples", "notes"}
         assert d["place"] == "inf"
         assert isinstance(d["samples"], list)
+
+    def test_guard_truncated_orbit_ends_the_samples(self):
+        # x doubles and y grows like x^3*y, so 64 bits are passed within 50 steps
+        m = tri_model()
+        res = orbit(m.plane_map(), point(2, 2), 50, bit_guard=64)
+        assert res.guard_hit and res.last_computed < 50
+        rep = basin_on_orbit(m, res, None, INF)
+        assert rep.verdict == "not_converged"
+        assert [s.n for s in rep.samples] == list(range(res.last_computed + 1))
+        assert rep.notes[-1] == (
+            f"orbit guard ended the probe after step {res.last_computed}"
+        )
+
+    def test_cycle_extends_the_samples_to_the_horizon(self):
+        # (1, 2) -> (-1, 2) -> (1, -2) -> (-1, -2) -> (1, 2): period 4
+        m = FnModel.from_map(PolyMap(parse_poly("-x"), parse_poly("x*y")))
+        res = orbit(m.plane_map(), point(1, 2), 12)
+        assert res.cycle == (0, 4)
+        rep = basin_on_orbit(m, res, None, INF)
+        assert [s.n for s in rep.samples] == list(range(13))
+        assert [s.distance for s in rep.samples[4:]] == [
+            s.distance for s in rep.samples[:9]
+        ]
+        assert rep.notes == ()
+
+    def test_F_n_probes_take_no_target(self):
+        with pytest.raises(ValueError):
+            basin_probe(tri_model(), point(1, 1), point(0, 0), INF, 5)
+
+
+def _distances_by_stepping_the_model(model, p, v, N):
+    """Reference: chart distances along the F_n orbit stepped with apply."""
+    P = embed_A2(p, model.n)
+    out = []
+    for n in range(N + 1):
+        try:
+            u, w = chart_around_Q(P)
+            out.append(max(abs_value(u, v), abs_value(w, v)))
+        except ChartDomainError:
+            out.append(None)
+        P = model.apply(P)
+    return out
+
+
+def _random_triangular(rng) -> PolyMap:
+    def coeff():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+    a = coeff() or Fraction(1, 2)
+    A = [coeff() for _ in range(rng.randint(1, 2))] + [Fraction(rng.choice([-2, -1, 1, 2]))]
+    B = [coeff() for _ in range(rng.randint(0, 4))]
+    f1 = f"{a}*x + {coeff()}"
+    f2 = " + ".join(f"({c})*x^{i}*y" for i, c in enumerate(A))
+    f2 += "".join(f" + ({c})*x^{i}" for i, c in enumerate(B))
+    return PolyMap(parse_poly(f1), parse_poly(f2))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_basin_samples_equal_the_model_stepping(seed):
+    """Along dml.orbit, the probe reads the distances of the F_n orbit."""
+    rng = random.Random(seed)
+    model = FnModel.from_map(_random_triangular(rng), rng.choice([None, 5]))
+    p = point(rng.choice([0, 1, Fraction(-1, 3), 2]), rng.choice([0, 1, Fraction(2, 5), -3]))
+    N, eps = 10, rng.choice([DEFAULT_EPS, Fraction(1, 2)])
+    for v in (INF, Place.finite(2), Place.finite(3)):
+        rep = basin_probe(model, p, None, v, N, eps)
+        want = _distances_by_stepping_the_model(model, p, v, N)
+        assert [s.n for s in rep.samples] == list(range(len(rep.samples)))
+        assert [s.distance for s in rep.samples] == want[:len(rep.samples)]
+        assert [s.below_epsilon for s in rep.samples] == [
+            d is not None and d < eps for d in want[:len(rep.samples)]
+        ]
+        if rep.verdict == "not_converged":
+            assert len(rep.samples) == N + 1
 
 
 class TestLocalDmlProbe:

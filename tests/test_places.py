@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlwb.arith import factorize, is_prime
+from dmlwb.dml import height_growth_probe
 from dmlwb.errors import ResourceCapError
 from dmlwb.maps import PolyMap, point
 from dmlwb.parsing import parse_poly
@@ -18,7 +20,6 @@ from dmlwb.places import (
     abs_value,
     embed_P2,
     height_affine,
-    height_growth_probe,
     northcott_enumerate,
     ord_p,
     product_formula_check,
@@ -192,6 +193,14 @@ class TestGrowthProbe:
         # orbit: (0,3) -> (3,9) -> (9,78) -> (78,6075)
         assert [s.height for s in samples] == [3, 9, 78, 6075]
         assert samples[1].log_ratio == pytest.approx(1.983, abs=1e-3)
+
+    def test_bit_guard_ends_the_samples_early(self):
+        f = PolyMap(parse_poly("y"), parse_poly("y^2 - x"))
+        start = time.perf_counter()
+        samples = height_growth_probe(f, point(1, 2), 30)
+        assert time.perf_counter() - start < 1.0
+        assert 0 < len(samples) < 31
+        assert [s.n for s in samples] == list(range(len(samples)))
 
     def test_ratio_omitted_at_height_one(self):
         f = PolyMap(parse_poly("x + 1"), parse_poly("y"))
