@@ -11,12 +11,11 @@ Otherwise the classifier is empirical: at a finite horizon "infinite
 visits" is operationally a periodic tail observed on the prefix
 (membership a-periodic over a window of at least 3a).  When such a tail
 is observed the classifier hunts for the two admissible explanations,
-an exactly repeating orbit or a periodic curve, and only reports
-VIOLATION when both searches ran to completion and found nothing.  On a
-reducible curve the periodic curve may be a component: when the whole
-curve has no period, the components that carry an observed tail are
-searched.  Guard-truncated data never produces a VIOLATION verdict; it
-is reported as undetermined with the guard on record.
+an exactly repeating orbit or a periodic curve; on a reducible curve
+with no period, the components that carry an observed tail are
+searched.  The verdicts are ordered (DmlReport): a capped search never
+overrides a cycle or a curve period, and guard-truncated data never
+produces a VIOLATION; it is undetermined with the guard on record.
 """
 
 from __future__ import annotations
@@ -109,6 +108,8 @@ def orbit(
 
     Iteration stops at the first exact repetition (the rest of the
     orbit is determined) or when a coordinate exceeds bit_guard bits.
+    The guard is checked after each step, so a guarded run computes and
+    discards one point of about twice the guard (on a Hénon map).
     stop, if given, is called on f(p), f^2(p), ... as each is kept; the
     run ends after the first point on which it returns True.
     """
@@ -260,15 +261,18 @@ VERDICT_VIOLATION = "VIOLATION"
 class DmlReport:
     """Classification of one (map, curve, point) instance.
 
-    Invariant: verdict is VIOLATION only when a periodic visit tail is
-    observed at the full horizon and both witness searches (exact
-    orbit cycle, curve period up to max_period) ran to completion
-    without success; on a reducible curve the period search must also
-    have failed, uncapped, on a component carrying an observed tail.
-    A reducible curve's witness may be the lcm of the periods of those
-    components, a period of their union.  A finite_visits report whose
-    notes hold an escape certificate is proved for every n, not only up
-    to the horizon.
+    Invariant: verdict is the first of these that applies.
+      1. The orbit guard hit, with no cycle or certificate: undetermined.
+      2. No periodic visit tail is observed at the full horizon (always
+         so under an escape certificate, which the notes hold and which
+         proves the report for every n): finite_visits.
+      3. The orbit repeats exactly: dichotomy_confirmed_preperiodic.
+      4. C has a period <= max_period, or C is reducible and each
+         component carrying an observed tail has one (the witness is
+         their lcm): dichotomy_confirmed_curve_periodic.
+      5. A period search hit the degree cap, or no component carries an
+         observed tail: undetermined.
+      6. Otherwise VIOLATION: both searches ran to completion in vain.
     """
 
     visit_set: tuple[int, ...]
@@ -319,16 +323,34 @@ def _curve_period_capped(
         set_degree_cap(saved)
 
 
-def _tail_components(
-    C: Curve, res: OrbitResult, visits: list[int], N: int
-) -> list[Curve]:
-    """Irreducible components of C whose own visits have an observed tail."""
-    out = []
-    for D in C.irreducible_components():
-        on_D = {n for n in visits if D.contains(res.point_at(n))}
-        if ap_decompose(on_D, N).progressions:
-            out.append(D)
-    return out
+def _component_witness(
+    C: Curve, f: PolyMap, res: OrbitResult, visits: list[int], K: int,
+    search_cap: int, notes: list[str],
+) -> tuple[Optional[int], bool, bool]:
+    """(witness, capped, unexplained) from the components of reducible C
+    whose own visits have an observed tail; the witness is the lcm of
+    their periods, a period of their union.  E.g. a line pair whose one
+    line has period 2 and carries every second point of the orbit, while
+    the pair itself has no period.  Appends its findings to notes.
+    """
+    tails = [D for D in C.irreducible_components() if ap_decompose(
+        {n for n in visits if D.contains(res.point_at(n))}, res.horizon
+    ).progressions]
+    if not tails:
+        notes.append("no single component carries an observed visit tail")
+        return None, False, True
+    witness = 1
+    for D in tails:
+        k, capped = _curve_period_capped(D, f, K, search_cap)
+        if k is None:
+            outcome = "hit the degree cap" if capped else f"found no period <= {K}"
+            notes.append(f"component {D} carries an observed visit tail; "
+                         f"its period search {outcome}")
+            return None, capped, False
+        notes.append(f"component {D} carries an observed visit tail "
+                     f"and has period {k}")
+        witness = math.lcm(witness, k)
+    return witness, False, False
 
 
 def dml_classify(
@@ -364,97 +386,55 @@ def classify_orbit(
     The orbit depends on neither C nor K, so one orbit serves every
     curve; the horizon N is res.horizon.  An escape certificate is read
     from the points up to its bound n1 alone, so the report is the same
-    for every orbit that reaches n1.
+    for every orbit that reaches n1.  The curve search runs whenever a
+    tail is observed, on a cycling orbit too; the verdict is the first
+    that applies of truncated, no tail, cycle, curve period, capped or
+    unexplained, VIOLATION (the DmlReport invariant).
     """
     N = res.horizon
     escape = certify(f, C.equation, res.points) if res.cycle is None else None
-    if escape is not None:
-        visits = [n for n in range(escape.bound) if C.contains(res.points[n])]
-        return DmlReport(
-            visit_set=tuple(visits),
-            ap=ap_decompose(set(visits), N),
-            preperiodic_witness=None,
-            curve_period_witness=None,
-            height_trace=tuple(height_affine(res.points[n]) for n in visits),
-            verdict=VERDICT_FINITE,
-            horizon=N,
-            max_period=K,
-            notes=(escape.note(),),
-        )
-    visits = orbit_visits(res, C)
-    notes: list[str] = []
-    truncated = res.guard_hit and res.cycle is None
-    if truncated:
-        # visit data only covers the computed prefix; decompose over it
-        ap = ap_decompose(set(visits), res.last_computed)
-        notes.append(
-            f"orbit guard hit at n = {res.last_computed + 1}; "
-            f"visit data truncated, no claim beyond n = {res.last_computed}"
-        )
-    else:
-        ap = ap_decompose(set(visits), N)
-    heights = tuple(
-        height_affine(res.point_at(n)) for n in visits
-    )
-    pre_witness = res.cycle
-    curve_witness: Optional[int] = None
-    curve_capped = False
-    tail_observed = bool(ap.progressions) and not truncated
+    notes = [escape.note()] if escape is not None else []
+    visits = orbit_visits(res if escape is None else res.prefix(escape.bound - 1), C)
+    guard_hit = res.guard_hit and escape is None
+    truncated = guard_hit and res.cycle is None
+    if truncated:  # the visit data covers the computed prefix only
+        notes.append(f"orbit guard hit at n = {res.last_computed + 1}; visit data "
+                     f"truncated, no claim beyond n = {res.last_computed}")
+    ap = ap_decompose(set(visits), res.last_computed if truncated else N)
+    tail_observed = bool(ap.progressions) and not truncated and escape is None
+    curve_witness, capped, unexplained = None, False, False
     if tail_observed:
-        curve_witness, curve_capped = _curve_period_capped(
-            C, f, K, curve_search_cap
-        )
-        if curve_capped:
-            notes.append(
-                f"curve period search hit the degree cap before reaching K = {K}"
+        curve_witness, capped = _curve_period_capped(C, f, K, curve_search_cap)
+        if capped:
+            notes.append(f"curve period search hit the degree cap before reaching K = {K}")
+        elif curve_witness is None and res.cycle is None and not C.is_irreducible:
+            curve_witness, capped, unexplained = _component_witness(
+                C, f, res, visits, K, curve_search_cap, notes
             )
-    no_tail_component = False
-    if (tail_observed and pre_witness is None and curve_witness is None
-            and not curve_capped and not C.is_irreducible):
-        # e.g. a line pair whose one line has period 2 and carries every
-        # second point of the orbit: the pair itself has no period
-        tails = _tail_components(C, res, visits, N)
-        no_tail_component = not tails
-        if no_tail_component:
-            notes.append("no single component carries an observed visit tail")
-        for D in tails:
-            k, curve_capped = _curve_period_capped(D, f, K, curve_search_cap)
-            if k is None:
-                outcome = ("hit the degree cap" if curve_capped
-                           else f"found no period <= {K}")
-                notes.append(f"component {D} carries an observed visit tail; "
-                             f"its period search {outcome}")
-                curve_witness = None
-                break
-            notes.append(f"component {D} carries an observed visit tail "
-                         f"and has period {k}")
-            curve_witness = math.lcm(curve_witness or 1, k)
     if truncated:
         verdict = VERDICT_UNDETERMINED
     elif not tail_observed:
         verdict = VERDICT_FINITE
-    elif pre_witness is not None:
+    elif res.cycle is not None:
         verdict = VERDICT_PREPERIODIC
     elif curve_witness is not None:
         verdict = VERDICT_CURVE_PERIODIC
-    elif curve_capped or no_tail_component:
+    elif capped or unexplained:
         verdict = VERDICT_UNDETERMINED
     else:
         verdict = VERDICT_VIOLATION
-        notes.append(
-            "observed periodic visit tail with no preperiodic orbit and "
-            "no curve period <= K: contradicts the dichotomy"
-        )
+        notes.append("observed periodic visit tail with no preperiodic orbit and "
+                     "no curve period <= K: contradicts the dichotomy")
     return DmlReport(
         visit_set=tuple(visits),
         ap=ap,
-        preperiodic_witness=pre_witness,
+        preperiodic_witness=res.cycle,
         curve_period_witness=curve_witness,
-        height_trace=heights,
+        height_trace=tuple(height_affine(res.point_at(n)) for n in visits),
         verdict=verdict,
         horizon=N,
         max_period=K,
-        orbit_guard_hit=res.guard_hit,
-        curve_search_capped=curve_capped,
+        orbit_guard_hit=guard_hit,
+        curve_search_capped=capped,
         notes=tuple(notes),
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .curves import is_fixed_curve
 from .dml import DEFAULT_BIT_GUARD, OrbitResult, orbit, orbit_visits
@@ -139,6 +139,19 @@ def basin_on_orbit(model, res: OrbitResult, Q, v: Place, eps=DEFAULT_EPS) -> Bas
     Convergence is certified by 5 consecutive strictly decreasing
     samples below eps.
     """
+    return _probe(model, lambda: res, Q, v, eps)
+
+
+def basin_probe(model, p: Point, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
+    """basin_on_orbit along orbit(f, p, N) under the model's plane map f,
+    coordinates capped at DEFAULT_BIT_GUARD bits.  The orbit is computed
+    only after eps, the model and Q pass their checks."""
+    f = model.plane_map() if isinstance(model, FnModel) else model
+    return _probe(model, lambda: orbit(f, p, N), Q, v, eps)
+
+
+def _probe(model, orbit_of: Callable[[], OrbitResult], Q, v: Place, eps) -> BasinReport:
+    """basin_on_orbit on orbit_of(), which it calls after its checks."""
     eps = as_fraction(eps)
     notes: list[str] = []
     if isinstance(model, FnModel):
@@ -170,6 +183,7 @@ def basin_on_orbit(model, res: OrbitResult, Q, v: Place, eps=DEFAULT_EPS) -> Bas
     else:
         raise TypeError("basin probes expect an FnModel or a PolyMap")
 
+    res = orbit_of()
     samples: list[MetricSample] = []
 
     def report(verdict: str, at: Optional[int]) -> BasinReport:
@@ -189,13 +203,6 @@ def basin_on_orbit(model, res: OrbitResult, Q, v: Place, eps=DEFAULT_EPS) -> Bas
     if res.guard_hit:
         notes.append(f"orbit guard ended the probe after step {res.last_known}")
     return report("not_converged", None)
-
-
-def basin_probe(model, p: Point, Q, v: Place, N: int, eps=DEFAULT_EPS) -> BasinReport:
-    """basin_on_orbit along orbit(f, p, N) under the model's plane map f,
-    coordinates capped at DEFAULT_BIT_GUARD bits."""
-    f = model.plane_map() if isinstance(model, FnModel) else model
-    return basin_on_orbit(model, orbit(f, p, N), Q, v, eps)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dmlwb import metrics
 from dmlwb.cli import build_parser, load_batch, main
 
 HENON = {"f1": "y", "f2": "y^2 - x"}
@@ -197,6 +198,17 @@ class TestBasin:
         captured = capsys.readouterr()
         assert code == 1
         assert "not fixed" in captured.err
+
+    def test_unfixed_target_exits_before_any_orbit(self, capsys, henon_file,
+                                                   monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("basin computed an orbit")
+
+        monkeypatch.setattr(metrics, "orbit", fail)
+        code = main(["basin", "--map", henon_file, "--model", "p2",
+                     "--target", "5,5", "--point", "1,2"])
+        assert code == 1
+        assert "(5, 5) is not fixed by the map" in capsys.readouterr().err
 
     def test_config_echoes_target(self, capsys, triang_file, tmp_path):
         path = tmp_path / "halve.json"

@@ -400,6 +400,18 @@ class TestDmlClassify:
             rep_m.verdict == "finite_visits"
         )
 
+    @pytest.mark.parametrize("text", ["x", "y - x^2", "x*y - x + y"])
+    def test_capped_search_never_overrides_a_cycle(self, text):
+        # (0, 0) is fixed by the Hénon map, so every curve through it has
+        # a tail; each real period search trips the default degree cap
+        rep = dml_classify(pmap("y", "y^2 - x"), curve(text), point(0, 0))
+        assert rep.verdict == "dichotomy_confirmed_preperiodic"
+        assert rep.preperiodic_witness == (0, 1)
+        assert rep.curve_search_capped
+        assert rep.notes == (
+            "curve period search hit the degree cap before reaching K = 12",
+        )
+
     def test_report_json_shape(self):
         rep = dml_classify(pmap("-x", "-y"), curve("x - 1"), point(1, 1), N=9)
         d = rep.to_json_dict()
@@ -475,6 +487,17 @@ class TestVerdictPaths:
         assert rep.notes == (
             f"component {D} carries an observed visit tail; "
             "its period search hit the degree cap",
+        )
+
+    def test_capped_search_on_a_cycling_orbit_is_preperiodic(self, monkeypatch):
+        # the search still runs on a cycling orbit, and its cap is recorded
+        monkeypatch.setattr(dml, "is_periodic_curve", capped)
+        rep = dml_classify(pmap("-x", "-y"), curve("x - 1"), point(1, 1), N=9, K=4)
+        assert rep.preperiodic_witness == (0, 2)
+        assert rep.curve_search_capped
+        assert rep.verdict == "dichotomy_confirmed_preperiodic"
+        assert rep.notes == (
+            "curve period search hit the degree cap before reaching K = 4",
         )
 
     @pytest.mark.parametrize("search", [no_period, capped])

@@ -180,6 +180,30 @@ class TestBasinProbe:
             basin_probe(tri_model(), point(1, 1), point(0, 0), INF, 5)
 
 
+class TestBasinProbeChecksFirst:
+    """basin_probe checks eps, the model and Q before it computes an orbit."""
+
+    @pytest.fixture(autouse=True)
+    def no_orbit(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("basin_probe computed an orbit")
+
+        monkeypatch.setattr(metrics, "orbit", fail)
+
+    def test_unfixed_planar_target(self):
+        henon = PolyMap(parse_poly("y"), parse_poly("y^2 - x"))
+        with pytest.raises(ValueError, match="is not fixed by the map"):
+            basin_probe(henon, point(1, 2), point(5, 5), INF, 50)
+
+    def test_F_n_model_given_a_target(self):
+        with pytest.raises(ValueError, match="pass Q=None"):
+            basin_probe(tri_model(), point(1, 1), point(0, 0), INF, 5)
+
+    def test_float_eps(self):
+        with pytest.raises(TypeError):
+            basin_probe(tri_model(), point(1, 1), None, INF, 5, eps=1e-6)
+
+
 def _distances_by_stepping_the_model(model, p, v, N):
     """Reference: chart distances along the F_n orbit stepped with apply."""
     P = embed_A2(p, model.n)
