@@ -27,6 +27,38 @@ For d = 1, F is the linear part L, and h_2 = L^2 = 0 exactly when L is
 nilpotent.  So f is algebraically stable (deg f^n = d^n for all n) iff
 h_2 != 0 (Fornaess-Sibony 1995, Diller-Favre 2001); otherwise the first
 drop is at n = 2, and only full compositions say by how much.
+
+Triangular maps take a closed form instead (Diller-Favre 2001;
+Friedland-Milnor 1989 for the elementary automorphisms).  Let
+f = (a*x + b, A(x)*y + B(x)) with a != 0 and A != 0, put e = deg B
+(e = 0 for B = 0) and x_i = a^i*x + (constant), the first component of
+f^i.  Since f(f^n) = (x_{n+1}, A(x_n)*(A_n*y + B_n) + B(x_n)),
+
+    f^n = (x_n, A_n(x)*y + B_n(x)),  A_n = prod_{i<n} A(x_i),
+    B_n = sum_{k<n} B(x_k) * prod_{k<i<n} A(x_i).
+
+A_n*y and B_n share no monomial, so deg f^n = max(deg A_n + 1, deg B_n).
+
+- dA = deg A >= 1: A(x_i) has degree dA and leading coefficient
+  lc(A)*a^(i*dA), so lc(A_n) = lc(A)^n * a^(dA*n(n-1)/2) != 0 and
+  deg A_n = n*dA.  Summand k of B_n has degree e + (n-1-k)*dA, so for
+  B != 0 the summand k = 0 is the unique top one.  Hence
+  deg f^n = max(n*dA + 1, (n-1)*dA + e), which is n*dA + 1 for B = 0.
+- A = c constant, e >= 2: A_n = c^n, and the x^e coefficient of B_n is
+  lc(B)*c^(n-1)*sum_{k<n} r^k with r = a^e/c.  The sum is n for r = 1
+  and (r^n - 1)/(r - 1) otherwise, and for rational r != 1 that vanishes
+  iff r^n = 1, that is r = -1 and n even.  So deg f^n = e for every n
+  unless a^e = -c, where deg f^2 < e and full compositions take over.
+  For e <= 1 the map is affine and the h_2 test decides it.
+
+With sigma(x, y) = (y, x), (sigma f sigma)^n = sigma f^n sigma has the
+degree of f^n, so a map that is triangular after this swap takes the
+same forms; the elementary maps (x + p(y), y) are among them, with
+a = c = 1 and deg f^n = deg p.  Every such map has h_2 = 0 (F_1 = 0, and
+F_2(0, y) = 0 since f_2 has y-degree <= 1).  Composing f with f^(n-1)
+forms no product above degree deg f^n (the term x^dA*y of f_2 against
+the second component of f^(n-1) reaches it), so checking the degree cap
+on deg f^n for each n >= 2 trips it at the same first n.
 """
 
 from __future__ import annotations
@@ -34,9 +66,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import poly
+from .errors import NotTriangularError
+from .hirzebruch import triangular_parts
 from .maps import PolyMap, compose_map
 
 GROWTH_BOUNDED = "bounded"
@@ -72,12 +106,44 @@ class StabilityVerdict:
         return f"unstable_at({self.unstable_at})"
 
 
+def _mirror(f: PolyMap) -> PolyMap:
+    """sigma f sigma with sigma(x, y) = (y, x), without an inverse."""
+    def swap(p: poly.Poly2) -> poly.Poly2:
+        nums, den = p.integer_form()
+        return poly.Poly2({(j, i): v for (i, j), v in nums.items()}, den)
+
+    return PolyMap(swap(f.f2), swap(f.f1))
+
+
+def _triangular_degrees(f: PolyMap) -> Optional[Callable[[int], int]]:
+    """n -> deg f^n when f or its mirror is triangular (module docstring).
+
+    None for every other map, and for the affine and the cancelling
+    (a^e = -c) triangular maps.
+    """
+    for g in (f, _mirror(f)):
+        try:
+            a, _, A, B = triangular_parts(g)
+        except NotTriangularError:
+            continue
+        dA = int(A.total_degree())
+        e = 0 if B.is_zero else int(B.total_degree())
+        if dA >= 1:
+            return lambda n: max(n * dA + 1, (n - 1) * dA + e)
+        if e >= 2 and a**e != -A.constant_value():
+            return lambda n: e
+    return None
+
+
 def _raw_degree_sequence(f: PolyMap, N: int) -> list[int]:
     """deg f^n for n = 1..N, exact; a constant f is rejected.
 
-    d^n unless N >= 2 and h_2 = F(F) = 0 (module docstring); then full
+    A closed form for triangular maps in either orientation, else d^n
+    unless N >= 2 and h_2 = F(F) = 0 (module docstring); then full
     compositions f^n = f(f^{n-1}), where a constant iterate (possible only
-    when f is not dominant) has degree 0.
+    when f is not dominant) has degree 0.  A closed-form degree is checked
+    against the cap as it is produced, so the first n above it raises
+    before any later degree is computed.
     """
     if N < 1:
         raise ValueError("degree horizon must be at least 1")
@@ -86,18 +152,22 @@ def _raw_degree_sequence(f: PolyMap, N: int) -> list[int]:
     d = base.algebraic_degree()
     if d == 0:
         raise ValueError("degree is undefined for a constant map")
-    F = [poly.Poly2.from_terms({k: c for k, c in p.terms() if sum(k) == d})
-         for p in (base.f1, base.f2)]
-    if N >= 2 and all(Fk.compose(*F).is_zero for Fk in F):
-        acc = base
-        out = [d]
-        for _ in range(N - 1):
-            acc = compose_map(base, acc)
-            out.append(acc.algebraic_degree())
-        return out
-    out = [d**n for n in range(1, N + 1)]
-    for dn in out[1:]:
+    degree = _triangular_degrees(base)
+    if degree is None:
+        F = [poly.Poly2.from_terms({k: c for k, c in p.terms() if sum(k) == d})
+             for p in (base.f1, base.f2)]
+        if N >= 2 and all(Fk.compose(*F).is_zero for Fk in F):
+            acc = base
+            out = [d]
+            for _ in range(N - 1):
+                acc = compose_map(base, acc)
+                out.append(acc.algebraic_degree())
+            return out
+    out = [d]
+    for n in range(2, N + 1):
+        dn = d**n if degree is None else degree(n)
         poly._check_cap(dn)  # via the module, which tracers patch
+        out.append(dn)
     return out
 
 

@@ -123,7 +123,10 @@ def _homogenize(P: Poly2, total: int) -> Poly2:
 
 
 def triangular_parts(f: PolyMap) -> tuple[Fraction, Fraction, Poly2, Poly2]:
-    """Extract (a, b, A, B) from f = (a*x + b, A(x)*y + B(x)) or raise."""
+    """Extract (a, b, A, B) from f = (a*x + b, A(x)*y + B(x)) or raise.
+
+    A may be a nonzero constant; FnModel.from_map refuses that case.
+    """
     f1, f2 = f.f1, f.f2
     if f1.deg_y() > 0 or f1.deg_x() > 1:
         raise NotTriangularError("first component must be a*x + b")
@@ -136,10 +139,6 @@ def triangular_parts(f: PolyMap) -> tuple[Fraction, Fraction, Poly2, Poly2]:
     parts = y_coefficients(f2)
     A = parts[1]
     B = parts.get(0, Poly2.zero())
-    if A.total_degree() < 1:
-        raise NotTriangularError(
-            "A(x) must have degree >= 1 (otherwise the map is an automorphism)"
-        )
     return a, b, A, B
 
 
@@ -174,6 +173,10 @@ class FnModel:
     def from_map(cls, f: PolyMap, n: Optional[int] = None) -> "FnModel":
         """Build a model from a triangular PolyMap; n defaults to the threshold."""
         a, b, A, B = triangular_parts(f)
+        if A.total_degree() < 1:
+            raise NotTriangularError(
+                "A(x) must have degree >= 1 (otherwise the map is an automorphism)"
+            )
         if n is None:
             n = stability_threshold(A, B)
         return cls(a, b, A, B, n)

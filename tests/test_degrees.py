@@ -1,8 +1,13 @@
 """Degree sequences under iteration, growth labels, stability checks."""
 
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmlwb.degrees import (
     GROWTH_BOUNDED,
@@ -293,3 +298,134 @@ def test_stable_maps_take_no_full_composition(monkeypatch):
     henon = parse_map("y", "y^2 - x")
     assert degree_sequence(henon, 12).degrees == tuple(2**n for n in range(1, 13))
     assert degree_sequence(parse_map("x + 1", "2*y"), 5).degrees == (1,) * 5
+
+
+def test_stable_degrees_stop_at_the_first_cap_trip():
+    # deg f^13 = 8192 is the first degree above the default cap.  Built
+    # before its check, the sequence would need tens of GB at this horizon,
+    # so the call runs in a child limited to 1 GB of address space.
+    child = textwrap.dedent("""
+        import resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        from dmlwb.degrees import degree_sequence
+        from dmlwb.maps import PolyMap
+        from dmlwb.parsing import parse_poly
+        henon = PolyMap(parse_poly("y"), parse_poly("y^2 - x"))
+        start = time.perf_counter()
+        try:
+            degree_sequence(henon, 10**6)
+        finally:
+            print(time.perf_counter() - start)
+    """)
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                         text=True, timeout=60)
+    assert run.stderr.endswith("DegreeCapError: operation would produce "
+                               "total degree 8192 > cap 4096\n"), run.stderr
+    assert float(run.stdout) < 1
+
+
+# -- closed forms for triangular maps --------------------------------------------
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero_fractions = fractions.filter(lambda q: q != 0)
+
+
+def _mirrored(terms: dict) -> dict:
+    return {(j, i): c for (i, j), c in terms.items()}
+
+
+@st.composite
+def triangular_maps(draw):
+    """(a*x + b, A(x)*y + B(x)) or its mirror, cancelling family included."""
+    a, b = draw(nonzero_fractions), draw(fractions)
+    dA = draw(st.integers(0, 3))
+    A = [draw(fractions) for _ in range(dA)] + [draw(nonzero_fractions)]
+    e = draw(st.sampled_from([None, 0, 1, 2, 3, 5]))  # deg B; None for B = 0
+    B = [] if e is None else [draw(fractions) for _ in range(e)] + [draw(nonzero_fractions)]
+    if dA == 0 and e is not None and e >= 2 and draw(st.booleans()):
+        A = [-a**e]  # a^e = -c: even iterates drop in degree
+    f1 = {(1, 0): a, (0, 0): b}
+    f2 = {(i, 1): c for i, c in enumerate(A)}
+    f2.update({(i, 0): c for i, c in enumerate(B)})
+    if draw(st.booleans()):
+        f1, f2 = _mirrored(f2), _mirrored(f1)
+    return PolyMap(Poly2.from_terms(f1), Poly2.from_terms(f2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(triangular_maps())
+@example(parse_map("-x", "-y + x^2"))  # f^2 = id
+@example(parse_map("-8*x + y^3", "2*y"))  # the mirror of a cancelling map
+@example(parse_map("2*x", "x*y + x^5"))  # deg B > deg A + 1
+def test_triangular_closed_form_matches_full_iterates(f):
+    N = 6
+    acc, full = f, [f.algebraic_degree()]
+    for _ in range(N - 1):
+        acc = compose_map(f, acc)
+        full.append(acc.algebraic_degree())
+    assert degree_sequence(f, N).degrees == tuple(full)
+
+
+def test_cancelling_family_drops_on_even_iterates():
+    # a^e = -c with a = 2, e = 2, c = -4: f^2 = (4*x, 16*y)
+    assert degree_sequence(parse_map("2*x", "-4*y + x^2"), 5).degrees == (2, 1, 2, 1, 2)
+    assert degree_sequence(parse_map("-4*x + y^2", "2*y"), 5).degrees == (2, 1, 2, 1, 2)
+
+
+def test_triangular_maps_take_no_composition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("composition of a triangular map")
+
+    monkeypatch.setattr("dmlwb.degrees.compose_map", refuse)
+    monkeypatch.setattr(Poly2, "compose", refuse)  # the h_2 test composes
+    N = 40
+    tri = parse_map("2*x + 1", "x^2*y + x^3")
+    assert degree_sequence(tri, N).degrees == tuple(2 * n + 1 for n in range(1, N + 1))
+    mirrored = parse_map("(y^2 - 1/2)*x + y^7", "-y/3 + 1")
+    expected = tuple(max(2 * n + 1, 2 * (n - 1) + 7) for n in range(1, N + 1))
+    assert degree_sequence(mirrored, N).degrees == expected
+    no_B = parse_map("3*x", "x^3*y")
+    assert degree_sequence(no_B, N).degrees == tuple(3 * n + 1 for n in range(1, N + 1))
+    constant_A = parse_map("-x + 1", "2*y + x^4 - x")
+    assert degree_sequence(constant_A, N).degrees == (4,) * N
+    elementary = parse_map("x + y^3 - 2*y", "y")
+    assert degree_sequence(elementary, N).degrees == (3,) * N
+    assert str(is_algebraically_stable_P2(elementary, N)) == "unstable_at(2)"
+
+
+def _first_composed_trip(f: PolyMap) -> int:
+    acc, n = f, 1
+    while True:
+        n += 1
+        try:
+            acc = compose_map(f, acc)
+        except DegreeCapError:
+            return n
+
+
+@pytest.mark.parametrize("f1, f2, trip", [
+    ("2*x + 1", "(x^2 - 3*x + 1)*y + x^3 - 2", 32),  # deg f^n = 2n + 1
+    ("-x - 2", "(2*x^3 + x)*y + x^5", 21),  # deg f^n = 3n + 2
+    ("(y^2 - 3*y + 1)*x + y^3 - 2", "2*y + 1", 32),
+])
+def test_closed_form_trips_the_cap_where_full_composition_does(f1, f2, trip):
+    f = parse_map(f1, f2)
+    saved = get_degree_cap()
+    set_degree_cap(64)
+    try:
+        assert _first_composed_trip(f) == trip
+        assert degree_sequence(f, trip - 1).degrees[-1] <= 64
+        with pytest.raises(DegreeCapError, match=r"degree 65 > cap 64$"):
+            degree_sequence(f, trip)
+    finally:
+        set_degree_cap(saved)
+
+
+def test_constant_A_never_trips_the_cap():
+    saved = get_degree_cap()
+    set_degree_cap(64)
+    try:
+        f = parse_map("x/2 + 1", "-3*y + x^5")
+        assert degree_sequence(f, 1000).degrees == (5,) * 1000
+    finally:
+        set_degree_cap(saved)

@@ -127,6 +127,12 @@ class TestThreshold:
         with pytest.raises(NotTriangularError):
             triangular_parts(PolyMap(parse_poly("y"), parse_poly("y^2 - x")))
 
+    def test_constant_A_has_parts_but_no_model(self):
+        f = PolyMap(parse_poly("x + 1"), parse_poly("2*y + x^3"))
+        assert triangular_parts(f)[2] == parse_poly("2")
+        with pytest.raises(NotTriangularError, match="degree >= 1"):
+            FnModel.from_map(f)
+
 
 class TestFnModel:
     def test_from_map_defaults_to_threshold(self):
