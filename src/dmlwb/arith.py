@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -13,11 +14,27 @@ _SMALL_PRIMES = [
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 _MR_PROVEN_BOUND = 3317044064679887385961981
 
+# single divisions by q before valuation divides by q^(2^i) instead
+VALUATION_STEPS = 16
+
+
+def _strip(n: int, q: int) -> tuple[int, int]:
+    """(v, n / q^v) for the exponent v of q in n.  n / q is searched for
+    q^2, so v takes O(log v) divisions of a shrinking n."""
+    m, r = divmod(n, q)
+    if r:
+        return 0, n
+    v, m = _strip(m, q * q)
+    m2, r = divmod(m, q)
+    return (2 * v + 1, m) if r else (2 * v + 2, m2)
+
 
 def valuation(n: int, q: int) -> int:
     """Exponent of the prime q in the nonzero integer n."""
     v = 0
     while n % q == 0:
+        if v == VALUATION_STEPS:
+            return v + _strip(n, q)[0]
         n //= q
         v += 1
     return v
@@ -88,6 +105,18 @@ def _pollard_brent(n: int) -> int:
         seed += 1
 
 
+def _perfect_power(m: int) -> Optional[tuple[int, int]]:
+    """(r, k) with m = r^k and k >= 2, or None.  r = floor(m^(1/k)) is
+    found by Newton's method from 2^ceil(bits/k) >= m^(1/k)."""
+    for k in range(2, m.bit_length()):
+        r = 1 << -(-m.bit_length() // k)
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
@@ -97,17 +126,20 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return dict(sorted(out.items()))
-    stack = [n]
+    # (cofactor, multiplicity); Pollard-Brent takes ~sqrt(r) steps on r^k
+    stack = [(n, 1)]
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            stack.append((power[0], e * power[1]))
             continue
         d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
+        stack.append((d, e))
+        stack.append((m // d, e))
     return dict(sorted(out.items()))

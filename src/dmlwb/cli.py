@@ -38,7 +38,13 @@ from .dml import (
 from .errors import DmlwbError, NotTriangularError
 from .hirzebruch import FnModel, contracted_image_check, indeterminacy_fn
 from .maps import Point, PolyMap, load_map, map_to_json_dict
-from .metrics import DEFAULT_EPS, basin_on_orbit, basin_probe, local_verdict
+from .metrics import (
+    DEFAULT_EPS,
+    DEFAULT_LOCAL_HORIZON,
+    basin_on_orbit,
+    basin_probe,
+    local_verdict,
+)
 from .parsing import parse_point
 from .places import (
     Place,
@@ -78,11 +84,11 @@ def _flag_type(word: str):
     return wrap
 
 
-@_flag_type("point")
-def _point_arg(text: str) -> Point:
+def _point(text: str) -> Point:
     return Point(*parse_point(text))
 
 
+_point_arg = _flag_type("point")(_point)
 _place_arg = _flag_type("place")(Place.parse)
 _rational_arg = _flag_type("rational")(Fraction)
 _curve_arg = _flag_type("curve")(Curve.from_string)
@@ -267,6 +273,10 @@ def _cmd_fn_model(args) -> tuple[dict, dict, list[str]]:
         "components": components,
         "map": map_to_json_dict(f),
     }
+    summary = [
+        f"model on F_{model.n} (threshold {model.threshold}, "
+        f"{'stable' if model.is_stable else 'NOT stable'})",
+    ]
     if model.is_stable:
         info = indeterminacy_fn(model)
         result["indeterminacy"] = {
@@ -274,25 +284,13 @@ def _cmd_fn_model(args) -> tuple[dict, dict, list[str]]:
             "point": "[1, 0, 0, 1]",
         }
         result["contraction_check"] = contracted_image_check(model)
+        summary.append(f"indeterminacy locus: {info.description}")
+        summary.append("fiber at infinity contracts to [1, 0, 1, 0]: "
+                       f"{result['contraction_check']}")
     else:
-        result["indeterminacy"] = None
-        result["contraction_check"] = None
-    config = _config(args, "map", "n")
-    summary = [
-        f"model on F_{model.n} (threshold {model.threshold}, "
-        f"{'stable' if model.is_stable else 'NOT stable'})",
-    ]
-    if model.is_stable:
-        summary.append(
-            "indeterminacy locus: " + result["indeterminacy"]["description"]
-        )
-        summary.append(
-            "fiber at infinity contracts to [1, 0, 1, 0]: "
-            + str(result["contraction_check"])
-        )
-    else:
+        result["indeterminacy"] = result["contraction_check"] = None
         summary.append("below threshold: indeterminacy is not a single point")
-    return config, result, summary
+    return _config(args, "map", "n"), result, summary
 
 
 def _cmd_curve_period(args) -> tuple[dict, dict, list[str]]:
@@ -375,7 +373,7 @@ class ExperimentConfig:
     places: tuple[str, ...]
     N: int = DEFAULT_HORIZON
     K: int = DEFAULT_MAX_PERIOD
-    M: int = 50  # horizon for the place-local probes
+    M: int = DEFAULT_LOCAL_HORIZON
     bit_guard: int = DEFAULT_BIT_GUARD
     curve_search_cap: int = DEFAULT_CURVE_SEARCH_CAP
     out: Optional[str] = None
@@ -409,7 +407,7 @@ def _load_inputs(cfg: ExperimentConfig) -> BatchInputs:
     parsed = []
     for kind, texts, parse in (
         ("curve", cfg.curves, Curve.from_string),
-        ("point", cfg.points, _point_arg),
+        ("point", cfg.points, _point),
         ("place", cfg.places, Place.parse),
     ):
         loaded = []
@@ -634,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed point for --model p2")
     p.add_argument("--place", default=Place.archimedean(), type=_place_arg)
     p.add_argument("--eps", default=DEFAULT_EPS, type=_eps_arg)
-    p.add_argument("--horizon", type=_positive_int, default=50)
+    p.add_argument("--horizon", type=_positive_int, default=DEFAULT_LOCAL_HORIZON)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_basin)
 

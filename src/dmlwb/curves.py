@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ContractionError, DmlwbError, MissingInverseError
+from .errors import ContractionError, MissingInverseError
 from .hirzebruch import FnModel
 from .maps import Point, PolyMap, RationalMap
 from .parsing import parse_poly
@@ -283,8 +283,14 @@ def fn_chart_equation(C: Curve, n: int) -> Poly2:
 
 
 def closure_passes_through_Q(C: Curve, n: int) -> bool:
-    """Whether the F_n closure of C contains the fixed point [1, 0, 1, 0]."""
-    return fn_chart_equation(C, n).evaluate(0, 0) == 0
+    """Whether the F_n closure of C contains the fixed point [1, 0, 1, 0].
+
+    The chart monomial (M - i - n*j, J - j) of the term (i, j) is
+    constant iff (i, j) = (M - n*J, J), so membership is that
+    coefficient vanishing.
+    """
+    M, J = fn_closure_data(C, n)
+    return C.equation.coeff(M - n * J, J) == 0
 
 
 def closure_meets_indeterminacy(C: Curve, n: int) -> bool:
@@ -355,16 +361,6 @@ def intersection_multiplicity(C: Curve, D: Curve, p: Point):
     return multiplicity_at_origin(F, G)
 
 
-def _restrict_x(p: Poly2, x0: Fraction) -> Poly2:
-    """p(x0, y) with the y powers moved into the x slot (univariate form)."""
-    out = {}
-    for j, cj in y_coefficients(p).items():
-        v = cj.evaluate(x0, 0)
-        if v != 0:
-            out[(j, 0)] = v
-    return Poly2.from_terms(out)
-
-
 def _rational_roots_x(p: Poly2) -> tuple[list[Fraction], bool]:
     """Rational roots of a univariate-in-x polynomial plus an
     irrational-factor flag."""
@@ -413,8 +409,11 @@ def rational_intersection_points(C: Curve, D: Curve) -> tuple[list[Point], bool]
             return [], False
         xs, flag = _rational_roots_x(res)
     points: list[Point] = []
+    x = Poly2.variable("x")
     for x0 in xs:
-        common = poly_gcd(_restrict_x(ce, x0), _restrict_x(de, x0))
+        # p(x0, y) with y in the x slot: a univariate polynomial
+        at_x0 = Poly2.const(x0)
+        common = poly_gcd(ce.compose(at_x0, x), de.compose(at_x0, x))
         if common.is_constant():
             continue
         ys, yflag = _rational_roots_x(common)
@@ -455,10 +454,7 @@ def periodicity_probe_thm13(
     Contracted curves fall outside the hypotheses and are reported as
     such rather than pushed through.
     """
-    if not model.is_stable:
-        raise DmlwbError(
-            "periodicity probe needs the model at or above the stability threshold"
-        )
+    model.require_stable("the periodicity probe")
     if N < 1 or K < 1:
         raise ValueError("N and K must be at least 1")
     f = model.affine_map()
@@ -521,10 +517,7 @@ def decreasing_intersection_experiment(
     curve through Q is fixed.  A curve through Q also involves y, so
     its pullback has a component the map does not contract.
     """
-    if not model.is_stable:
-        raise DmlwbError(
-            "the chain experiment needs the model at or above the stability threshold"
-        )
+    model.require_stable("the chain experiment")
     if M < 0:
         raise ValueError("M must be nonnegative")
     f = model.plane_map()
@@ -573,8 +566,7 @@ def prop52_flag(model: FnModel, C: Curve, K: int) -> bool:
     The supporting result says periodic curves through Q must already
     be fixed, so True here means something is inconsistent.
     """
-    if not model.is_stable:
-        raise DmlwbError("the flag is only meaningful for a stable model")
+    model.require_stable("the periodic-curve flag")
     if not closure_passes_through_Q(C, model.n):
         return False
     period = is_periodic_curve(C, model.plane_map(), K)

@@ -63,14 +63,19 @@ class OrbitResult:
     guard_hit: bool
     horizon: int
 
-    def point_at(self, n: int) -> Point:
-        """f^n(p) for any n covered by the prefix or the cycle."""
+    def index(self, n: int) -> int:
+        """The i with f^n(p) = points[i], for any n covered by the prefix
+        or the cycle."""
         if n < len(self.points):
-            return self.points[n]
+            return n
         if self.cycle is None:
             raise IndexError(f"orbit only computed up to n = {len(self.points) - 1}")
         tail, period = self.cycle
-        return self.points[tail + (n - tail) % period]
+        return tail + (n - tail) % period
+
+    def point_at(self, n: int) -> Point:
+        """f^n(p) for any n covered by the prefix or the cycle."""
+        return self.points[self.index(n)]
 
     @property
     def last_computed(self) -> int:
@@ -142,10 +147,7 @@ def orbit(
 def orbit_visits(res: OrbitResult, C: Curve) -> list[int]:
     """Visit times within [0, horizon], cycle-extended when possible."""
     member = [C.contains(pt) for pt in res.points]
-    computed = len(member)
-    tail, period = res.cycle or (0, 1)
-    return [n for n in range(res.last_known + 1)
-            if member[n if n < computed else tail + (n - tail) % period]]
+    return [n for n in range(res.last_known + 1) if member[res.index(n)]]
 
 
 def visit_set(

@@ -10,13 +10,13 @@ the exact orbit up to n1 and on nothing else.
 
 Places
 ------
-Let m = lcm(den x_0, den y_0, denominator of f).  At a prime that does
-not divide m the ring Z_(p) contains P and every coefficient of f, so
-every iterate is p-integral and |y_n|_p <= 1: the orbit never enters
-V+_p, which asks |y|_p > 1.  So the candidates are inf and the primes
-of m (only inf when m is too large to factor).  The places are tried in
-that order (primes ascending) at n = 0, 1, ...; the first that holds
-the point is the place of the certificate.
+By step (a) of the maps module docstring, only the primes of
+PolyMap.orbit_primes(P) can divide the denominator of an iterate.  At
+any other prime every iterate is p-integral and |y_n|_p <= 1: the orbit
+never enters V+_p, which asks |y|_p > 1.  So the candidates are inf and
+those primes (only inf when orbit_primes gives None).  The places are
+tried in that order (primes ascending) at n = 0, 1, ...; the first that
+holds the point is the place of the certificate.
 
 At infinity (the Bedford-Smillie filtration, with rational bounds)
 -------------------------------------------------------------------
@@ -74,13 +74,12 @@ certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import factorize, valuation
-from .maps import KERNEL_MAX_BITS, Point, PolyMap
+from .arith import valuation
+from .maps import Point, PolyMap
 from .places import ord_p
 from .poly import Poly2
 
@@ -162,20 +161,19 @@ class _Prime:
         return valuation(pt.x.denominator, self.p) > self.bound
 
 
-def _places(form, top, others, m: int) -> list:
+def _places(form, top, others, primes: Optional[tuple[int, ...]]) -> list:
     a, k, q, delta = form
     W, j0, c0 = top
     R = (sum(abs(c) for c in q.values()) + abs(delta) + 2) / abs(a)
     c1, c2 = 2 / R, 2 * abs(a)
     B = sum(abs(c) * c2**j for _, j, c in others) / (abs(c0) * c1**j0)
     out = [_Infinity(max(R, Fraction(1)), B)]
-    if m.bit_length() <= KERNEL_MAX_BITS:
-        for p in factorize(m):
-            va = ord_p(a, p)
-            T = max(0, va, va - ord_p(delta, p), *(va - ord_p(c, p) for c in q.values()))
-            E = max(((ord_p(c0, p) - ord_p(c, p) + (j0 - j) * va) // (W - w)
-                     for w, j, c in others), default=0)
-            out.append(_Prime(p, T, E))
+    for p in primes or ():
+        va = ord_p(a, p)
+        T = max(0, va, va - ord_p(delta, p), *(va - ord_p(c, p) for c in q.values()))
+        E = max(((ord_p(c0, p) - ord_p(c, p) + (j0 - j) * va) // (W - w)
+                 for w, j, c in others), default=0)
+        out.append(_Prime(p, T, E))
     return out
 
 
@@ -218,8 +216,7 @@ def escape_watch(f: PolyMap, C: Poly2, p: Point) -> Optional[EscapeWatch]:
         split, pullback = _split_top(C.compose(f.f1, f.f2), form[1]), True
         if split is None:
             return None
-    m = math.lcm(p.x.denominator, p.y.denominator, f.f2.integer_form()[1])
-    watch = EscapeWatch(_places(form, *split, m), pullback)
+    watch = EscapeWatch(_places(form, *split, f.orbit_primes(p)), pullback)
     watch(p)
     return watch
 

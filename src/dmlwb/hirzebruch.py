@@ -111,15 +111,7 @@ def _homogenize(P: Poly2, total: int) -> Poly2:
 
     The result reads (x, y) as (x1, x2): sum of p_i * x1^i * x2^(total-i).
     """
-    if P.is_zero:
-        return Poly2.zero()
-    if P.deg_y() > 0:
-        raise ValueError("homogenization expects a polynomial in x alone")
-    if total < P.deg_x():
-        raise ValueError("homogenization degree below the polynomial degree")
-    return Poly2.from_terms(
-        {(i, total - i): c for (i, _), c in P.terms()}
-    )
+    return Poly2.from_terms({(i, total - i): c for (i, _), c in P.terms()})
 
 
 def triangular_parts(f: PolyMap) -> tuple[Fraction, Fraction, Poly2, Poly2]:
@@ -137,9 +129,7 @@ def triangular_parts(f: PolyMap) -> tuple[Fraction, Fraction, Poly2, Poly2]:
     if f2.deg_y() != 1:
         raise NotTriangularError("second component must be A(x)*y + B(x)")
     parts = y_coefficients(f2)
-    A = parts[1]
-    B = parts.get(0, Poly2.zero())
-    return a, b, A, B
+    return a, b, parts[1], parts.get(0, Poly2.zero())
 
 
 class FnModel:
@@ -150,21 +140,18 @@ class FnModel:
     def __init__(self, a, b, A: Poly2, B: Poly2, n: int):
         if n < 0:
             raise ValueError("F_n needs n >= 0")
-        a = as_fraction(a)
-        b = as_fraction(b)
+        a, b = as_fraction(a), as_fraction(b)
         if a == 0:
             raise ValueError("triangular maps need a != 0")
-        threshold = stability_threshold(A, B)
+        self.threshold = stability_threshold(A, B)
         deg_a = int(A.total_degree())
-        deg_b = int(B.total_degree()) if not B.is_zero else None
-        d = deg_a if deg_b is None else max(deg_a, deg_b - n)
+        d = deg_a if B.is_zero else max(deg_a, int(B.total_degree()) - n)
         self.n = n
         self.a = a
         self.b = b
         self.A = A
         self.B = B
         self.d = d
-        self.threshold = threshold
         # Ah, Bh read Poly2 variables (x, y) as (x1, x2)
         self.Ah = _homogenize(A, d)
         self.Bh = _homogenize(B, d + n)
@@ -185,6 +172,15 @@ class FnModel:
     def is_stable(self) -> bool:
         return self.n >= self.threshold
 
+    def require_stable(self, what: str) -> None:
+        """Raise DmlwbError unless n is at least the stability threshold,
+        below which what is not asserted."""
+        if not self.is_stable:
+            raise DmlwbError(
+                f"{what} needs n at or above the stability threshold "
+                f"{self.threshold}; the model has n = {self.n}"
+            )
+
     def plane_map(self) -> PolyMap:
         """The plane map (a*x + b, A(x)*y + B(x)), without an inverse."""
         x, y = Poly2.variable("x"), Poly2.variable("y")
@@ -193,8 +189,7 @@ class FnModel:
     def affine_map(self) -> PolyMap:
         """The plane map (a*x + b, A(x)*y + B(x)) with its verified inverse."""
         f = self.plane_map()
-        x = Poly2.variable("x")
-        y = Poly2.variable("y")
+        x, y = Poly2.variable("x"), Poly2.variable("y")
         g1 = RatFunc((x - self.b) * (1 / self.a), Poly2.one())
         a_of_g = RatFunc.from_poly(self.A).substitute(g1, g1)
         b_of_g = RatFunc.from_poly(self.B).substitute(g1, g1)
@@ -206,23 +201,9 @@ class FnModel:
 
     # -- pointwise action --------------------------------------------------
 
-    def components_at(self, P: FnPoint) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Raw image quadruple of the extension formula at P."""
-        x1, x2, x3, x4 = P.coords
-        c1 = self.a * x1 + self.b * x2
-        c2 = x2
-        c3 = self.Ah.evaluate(x1, x2) * x3 + self.Bh.evaluate(x1, x2) * x4
-        c4 = x2**self.d * x4
-        return c1, c2, c3, c4
-
     def is_indeterminate(self, P: FnPoint) -> bool:
         """Membership in I(f_n) = {x2 = x3 = 0}; asserted at/above threshold only."""
-        if not self.is_stable:
-            raise DmlwbError(
-                "below the stability threshold the indeterminacy locus "
-                "formula is not asserted; raise n to at least "
-                f"{self.threshold}"
-            )
+        self.require_stable("the indeterminacy locus formula")
         x1, x2, x3, x4 = P.coords
         return x2 == 0 and x3 == 0
 
@@ -236,9 +217,12 @@ class FnModel:
         """
         if P.n != self.n:
             raise ValueError(f"point lives on F_{P.n}, model on F_{self.n}")
-        c1, c2, c3, c4 = self.components_at(P)
+        x1, x2, x3, x4 = P.coords
+        c1 = self.a * x1 + self.b * x2
+        c2 = x2
+        c3 = self.Ah.evaluate(x1, x2) * x3 + self.Bh.evaluate(x1, x2) * x4
+        c4 = x2**self.d * x4
         if c3 == 0 and c4 == 0:
-            x1, x2, x3, x4 = P.coords
             if x2 == 0 and x3 == 0:
                 raise IndeterminacyError(
                     f"{P} is the indeterminate point of the extension", point=P
@@ -273,11 +257,7 @@ class IndeterminacyInfo:
     __slots__ = ("model", "description", "fiber_check_passed")
 
     def __init__(self, model: FnModel):
-        if not model.is_stable:
-            raise DmlwbError(
-                "indeterminacy descriptor requires n >= stability threshold "
-                f"({model.threshold}); model has n = {model.n}"
-            )
+        model.require_stable("the indeterminacy descriptor")
         self.model = model
         self.description = "x2 = 0 and x3 = 0 (single point [1, 0, 0, 1])"
         self.fiber_check_passed = self._verify_fiber()
@@ -314,11 +294,7 @@ def contracted_image_check(m: FnModel) -> bool:
     (a*x1, 0, lc(A)*x1^d*x3, 0), which canonicalizes to [1, 0, 1, 0]
     off the indeterminate point.  Numeric part: [1, 0, 1, 0] is fixed.
     """
-    if not m.is_stable:
-        raise DmlwbError(
-            "contraction structure is only asserted at or above the "
-            f"stability threshold ({m.threshold})"
-        )
+    m.require_stable("the contraction structure")
     info = indeterminacy_fn(m)
     if not info.fiber_check_passed:
         return False

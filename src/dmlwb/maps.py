@@ -223,13 +223,12 @@ class PolyMap:
         The arithmetic runs in Z[1/m] with predicted denominators (module
         docstring), so no coordinate is normalised by a gcd.
         """
-        (n1, d1), (n2, d2) = self.f1.integer_form(), self.f2.integer_form()
-        m = math.lcm(p.x.denominator, p.y.denominator, d1, d2)
-        if m.bit_length() > KERNEL_MAX_BITS:
+        primes = self.orbit_primes(p)
+        if primes is None:
             while True:
                 p = self.apply(p)
                 yield p
-        primes = tuple(factorize(m))
+        (n1, d1), (n2, d2) = self.f1.integer_form(), self.f2.integer_form()
         t1, t2 = _term_table(n1, d1, primes), _term_table(n2, d2, primes)
         monomials = [*n1, *n2]
         top_i = max((i for i, _ in monomials), default=0)
@@ -242,6 +241,16 @@ class PolyMap:
                 _component(t2, px, py, alpha, beta, primes),
             )
             yield Point(_as_fraction(X, alpha, primes), _as_fraction(Y, beta, primes))
+
+    def orbit_primes(self, p: Point) -> Optional[tuple[int, ...]]:
+        """The ascending primes of m = lcm(den p.x, den p.y, d1, d2), which
+        alone can divide an iterate's denominator (step (a) above); None
+        when m has more than KERNEL_MAX_BITS bits."""
+        m = math.lcm(p.x.denominator, p.y.denominator,
+                     self.f1.integer_form()[1], self.f2.integer_form()[1])
+        if m.bit_length() > KERNEL_MAX_BITS:
+            return None
+        return tuple(factorize(m))
 
     def algebraic_degree(self) -> int:
         """max(deg f1, deg f2); a constant map, (0, 0) included, has degree 0."""
@@ -302,11 +311,7 @@ def _component(table, px, py, alpha, beta, primes) -> tuple[int, list[int]]:
 
 
 def _as_fraction(n: int, exps: list[int], primes) -> Fraction:
-    den = 1
-    for q, e in zip(primes, exps):
-        if e:
-            den *= q**e
-    return coprime_fraction(n, den)
+    return coprime_fraction(n, math.prod(q**e for q, e in zip(primes, exps)))
 
 
 def verify_inverse(f1: Poly2, f2: Poly2, g: RationalMap) -> bool:

@@ -35,6 +35,8 @@ from .places import Place, ProjPoint, abs_value, embed_P2
 from .poly import as_fraction
 
 DEFAULT_EPS = Fraction(1, 2**20)
+DEFAULT_LOCAL_HORIZON = 50  # orbit horizon of the basin and local probes
+VISIT_THRESHOLD = 8  # visits to C that the local probe reads as infinitely many
 
 CoordsLike = Union[ProjPoint, Sequence]
 
@@ -78,10 +80,16 @@ class MetricSample:
     below_epsilon: bool
 
     def to_json_dict(self, place: Place) -> dict:
-        """JSON form; the distance is a float at the archimedean place."""
+        """JSON form; the distance is a float at the archimedean place, an
+        exact string at a prime, and None (JSON null) when there is none to
+        show: the point is outside the chart, or the distance is too large
+        for a float or for the int-to-str digit limit."""
         d = self.distance
         if d is not None:
-            d = float(d) if place.is_archimedean else str(d)
+            try:
+                d = float(d) if place.is_archimedean else str(d)
+            except (OverflowError, ValueError):
+                d = None
         return {"n": self.n, "distance": d, "below_epsilon": self.below_epsilon}
 
 
@@ -231,9 +239,8 @@ def local_dml_probe(
     p,
     Q=None,
     v: Place = Place.archimedean(),
-    N: int = 50,
+    N: int = DEFAULT_LOCAL_HORIZON,
     eps=DEFAULT_EPS,
-    visit_threshold: int = 8,
     bit_guard: int = DEFAULT_BIT_GUARD,
 ) -> LocalDmlReport:
     """Empirical local dichotomy: attraction to Q plus many visits to C
@@ -245,7 +252,7 @@ def local_dml_probe(
     f = model.plane_map() if isinstance(model, FnModel) else model
     res = orbit(f, p, N, bit_guard)
     basin = basin_on_orbit(model, res, Q, v, eps)
-    return local_verdict(f, C, basin, res, Q, visit_threshold)
+    return local_verdict(f, C, basin, res, Q)
 
 
 def local_verdict(
@@ -254,15 +261,14 @@ def local_verdict(
     basin: BasinReport,
     res: OrbitResult,
     q: Optional[Point] = None,
-    visit_threshold: int = 8,
 ) -> LocalDmlReport:
     """The curve-dependent half of local_dml_probe.
 
     basin and res (the orbit of the probed point under the affine map f)
-    depend on neither C nor the visit threshold, so one of each serves
-    every curve.  An exact hit on Q counts when the basin probe reached
-    Q, or when the orbit passes through the affine point q.  When
-    convergence is certified and the visit count reaches the threshold,
+    do not depend on C, so one of each serves every curve.  An exact hit
+    on Q counts when the basin probe reached Q, or when the orbit passes
+    through the affine point q.  When convergence is certified and the
+    visit count reaches VISIT_THRESHOLD,
     checks is_fixed_curve / exact Q-hits and raises the violation flag
     if both fail (no known map does this; the flag marks an anomaly).
     """
@@ -271,7 +277,7 @@ def local_verdict(
     if res.guard_hit:
         notes.append("orbit guard truncated the visit scan")
     hits_q = basin.verdict == "reached_Q" or (q is not None and q in res.points)
-    if basin.converged and len(visits) >= visit_threshold:
+    if basin.converged and len(visits) >= VISIT_THRESHOLD:
         if hits_q:
             verdict, violation = "orbit_hits_Q", False
         elif is_fixed_curve(C, f):
@@ -286,16 +292,16 @@ def local_verdict(
         verdict, violation = "hypotheses_not_met", False
         if not basin.converged:
             notes.append("no convergence certificate at this horizon")
-        if len(visits) < visit_threshold:
+        if len(visits) < VISIT_THRESHOLD:
             notes.append(
                 f"visit set has {len(visits)} entries, below threshold "
-                f"{visit_threshold}"
+                f"{VISIT_THRESHOLD}"
             )
     return LocalDmlReport(
         verdict=verdict,
         violation=violation,
         basin=basin,
         visit_set=tuple(visits),
-        visit_threshold=visit_threshold,
+        visit_threshold=VISIT_THRESHOLD,
         notes=tuple(notes),
     )

@@ -91,10 +91,7 @@ def product_formula_check(x: RatLike) -> bool:
     q = as_fraction(x)
     if q == 0:
         raise ValueError("product formula requires x != 0")
-    prod = Fraction(1)
-    for v in relevant_places(q):
-        prod *= abs_value(q, v)
-    return prod == 1
+    return math.prod(abs_value(q, v) for v in relevant_places(q)) == 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,13 +111,9 @@ class ProjPoint:
             raise ValueError("projective point needs at least one coordinate")
         if all(c == 0 for c in fracs):
             raise ValueError("all-zero coordinates do not define a projective point")
-        den = 1
-        for c in fracs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in fracs))
         ints = [int(c * den) for c in fracs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
+        g = math.gcd(*ints)
         lead = next(c for c in ints if c)
         if lead < 0:
             g = -g

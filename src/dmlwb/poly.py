@@ -125,9 +125,7 @@ class Poly2:
     def from_terms(cls, terms: Mapping[Monomial, Scalar]) -> "Poly2":
         """Build from a mapping of exponent pairs to rational coefficients."""
         fracs = {k: as_fraction(v) for k, v in terms.items()}
-        den = 1
-        for q in fracs.values():
-            den = den * q.denominator // math.gcd(den, q.denominator)
+        den = math.lcm(*(q.denominator for q in fracs.values()))
         nums = {k: q.numerator * (den // q.denominator) for k, q in fracs.items()}
         return cls(nums, den)
 

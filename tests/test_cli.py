@@ -230,6 +230,30 @@ class TestBasin:
             f"orbit guard ended the probe after step {len(result['samples']) - 1}"
         )
 
+    def test_distance_beyond_float_range_is_null(self, capsys, triang_file):
+        # on F_200 the chart coordinate w of (3, 1) is 3^200, and along the
+        # orbit it passes the float range at n = 4
+        doc = run_json(capsys, ["basin", "--map", triang_file, "--model", "fn:200",
+                                "--point", "3,1"])
+        result = doc["result"]
+        assert result["verdict"] == "not_converged" and result["at"] is None
+        distances = [s["distance"] for s in result["samples"]]
+        assert isinstance(distances[0], float) and distances[-1] is None
+        assert not any(s["below_epsilon"] for s in result["samples"])
+
+    def test_distance_beyond_the_digit_limit_is_null(self, capsys, tmp_path):
+        # |w|_2 on F_1000 passes 4300 decimal digits; valuations of
+        # 10^5-bit integers must not take quadratic time either
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"f1": "x/2", "f2": "x*y"}))
+        doc = run_json(capsys, ["basin", "--map", str(path), "--model", "fn:1000",
+                                "--place", "2", "--point", "1,1"])
+        result = doc["result"]
+        assert result["verdict"] == "not_converged"
+        distances = [s["distance"] for s in result["samples"]]
+        assert distances[0] == "1" and distances[-1] is None
+        assert all(d is None or isinstance(d, str) for d in distances)
+
     def test_bad_model_tag(self, capsys, triang_file):
         code = main(["basin", "--map", triang_file, "--model", "zeta",
                      "--point", "1,1"])
@@ -461,6 +485,37 @@ class TestBatch:
         assert "bad point '1,2/0'" in err
         assert "position 2: zero denominator in '2/0'" in err
         assert "Fraction(" not in err
+
+    def test_bad_point_message_is_not_wrapped_twice(self, tmp_path, triang_file,
+                                                     capsys):
+        cfg = {"maps": [triang_file], "curves": ["y"], "points": ["1,2,3"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["batch", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --config: bad point '1,2,3': syntax error at "
+            "position 0: expected two comma-separated coordinates\n"
+        )
+
+    def test_distance_beyond_float_range_keeps_every_item(self, tmp_path,
+                                                          triang_file, capsys):
+        huge = "3,1/1" + "0" * 400
+
+        def batch(points):
+            cfg = {"maps": [triang_file], "curves": ["y", "x - 3"],
+                   "points": points, "places": ["inf", "2"]}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            return run_json(capsys, ["batch", "--config", str(path)])["result"]
+
+        both, alone = batch(["1,1", huge]), batch(["1,1"])
+        assert [it for it in both if it["point"] == "1,1"] == alone
+        big = [it for it in both if it["point"] == huge]
+        assert len(big) == 4 and all(it["error"] is None for it in big)
+        for it in big:
+            first = it["local"]["basin"]["samples"][0]
+            if it["place"] == "inf":
+                assert first["distance"] is None and not first["below_epsilon"]
 
     def test_inline_map_object_rejected_at_load(self, tmp_path, capsys):
         # maps entries are file paths, not inline map objects

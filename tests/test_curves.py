@@ -337,6 +337,18 @@ class TestClosures:
             eq = fn_chart_equation(c, n)
             assert closure_passes_through_Q(c, n) == (eq.evaluate(0, 0) == 0)
 
+    @settings(max_examples=100)
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 3)),
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=5,
+    ).filter(lambda t: any(k != (0, 0) for k in t)), st.integers(0, 5))
+    def test_through_Q_equals_the_chart_value_at_the_origin(self, terms, n):
+        # the definition before closure_passes_through_Q read one coefficient
+        C = Curve(Poly2.from_terms(terms))
+        assert closure_passes_through_Q(C, n) == (
+            fn_chart_equation(C, n).evaluate(0, 0) == 0
+        )
+
 
 class TestLocalMultiplicity:
     def test_transverse_axes(self):

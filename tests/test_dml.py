@@ -67,6 +67,20 @@ class TestOrbit:
         assert res.cycle is None
         assert res.last_computed < 100
 
+    @given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 60))
+    def test_index_equals_the_cycle_formula(self, tail, period, n):
+        # the formula point_at and orbit_visits each spelled out before index
+        pts = tuple(point(k, 0) for k in range(tail + period))
+        res = OrbitResult(pts, (tail, period), False, 60)
+        want = n if n < len(pts) else tail + (n - tail) % period
+        assert res.index(n) == want
+        assert res.point_at(n) == pts[want]
+        on = curve("x - 1")
+        assert orbit_visits(res, on) == [
+            m for m in range(61)
+            if on.contains(pts[m if m < len(pts) else tail + (m - tail) % period])
+        ]
+
     def test_orbit_matches_iterated_map(self):
         f = pmap("y", "y^2 - x")
         res = orbit(f, point(1, 2), 6)

@@ -1,16 +1,18 @@
 """Escape certificates for Hénon-type orbits: soundness, refusals, and the
 cases that pin each bound of the proof."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmlwb.arith import factorize
 from dmlwb.curves import Curve
 from dmlwb.dml import classify_orbit, dml_classify, orbit
 from dmlwb.escape import certify, escape_watch, henon_form
-from dmlwb.maps import Point, PolyMap, point
+from dmlwb.maps import KERNEL_MAX_BITS, Point, PolyMap, point
 from dmlwb.parsing import parse_poly
 from dmlwb.poly import Poly2
 
@@ -73,6 +75,48 @@ def test_no_certificate_contradicts_a_longer_orbit(instance):
     assert longer.cycle is None
     assert len(longer.points) > cert.bound
     assert not any(C.vanishes_at(q.x, q.y) for q in longer.points[cert.bound:])
+
+
+def old_escape_primes(f: PolyMap, p: Point):
+    """The candidate primes escape_watch factored for itself before it read
+    PolyMap.orbit_primes: the primes of lcm(den x, den y, den f2)."""
+    m = math.lcm(p.x.denominator, p.y.denominator, f.f2.integer_form()[1])
+    return tuple(factorize(m)) if m.bit_length() <= KERNEL_MAX_BITS else None
+
+
+@settings(max_examples=100)
+@given(henon_instances())
+def test_kernel_and_escape_read_the_same_primes(instance):
+    f, C, p = instance
+    assert f.orbit_primes(p) == old_escape_primes(f, p)
+    watch = escape_watch(f, C, p)
+    if watch is not None:
+        assert [str(v) for v in watch._places] == [
+            "inf", *map(str, f.orbit_primes(p))
+        ]
+
+
+@pytest.mark.parametrize("p", [
+    point(Fraction(1, 3), Fraction(5, 2**60)),
+    point(Fraction(1, 2**65 + 1), 1),  # m above KERNEL_MAX_BITS: inf only
+])
+def test_escape_places_follow_orbit_primes(p, monkeypatch):
+    seen = []
+    original = PolyMap.orbit_primes
+
+    def spy(self, q):
+        seen.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(PolyMap, "orbit_primes", spy)
+    f = pmap("y", "y^2 - x - 1/9")
+    next(f.iterates(p))
+    watch = escape_watch(f, Y, p)
+    assert seen == [p, p]
+    assert old_escape_primes(f, p) == original(f, p)
+    assert [str(v) for v in watch._places] == [
+        "inf", *map(str, original(f, p) or ())
+    ]
 
 
 @pytest.mark.parametrize("f", [

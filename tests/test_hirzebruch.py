@@ -6,6 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmlwb.curves import (
+    Curve,
+    decreasing_intersection_experiment,
+    periodicity_probe_thm13,
+    prop52_flag,
+)
 from dmlwb.errors import (
     DmlwbError,
     ExcludedLocusError,
@@ -186,6 +192,33 @@ class TestFnModel:
             indeterminacy_fn(m)
         with pytest.raises(DmlwbError):
             contracted_image_check(m)
+
+    @pytest.mark.parametrize("what, call", [
+        ("the indeterminacy locus formula",
+         lambda m: m.is_indeterminate(indeterminacy_point(1))),
+        ("the indeterminacy descriptor", indeterminacy_fn),
+        ("the contraction structure", contracted_image_check),
+        ("the periodicity probe",
+         lambda m: periodicity_probe_thm13(m, Curve.from_string("y"), N=3, K=3)),
+        ("the chain experiment",
+         lambda m: decreasing_intersection_experiment(m, Curve.from_string("y"), M=2)),
+        ("the periodic-curve flag",
+         lambda m: prop52_flag(m, Curve.from_string("y - x^4"), K=2)),
+    ], ids=["is_indeterminate", "IndeterminacyInfo", "contracted_image_check",
+            "periodicity_probe", "chain_experiment", "prop52_flag"])
+    def test_every_stable_site_raises_through_require_stable(self, what, call):
+        # threshold 3 for (2x, x^3*y + x^5); each site names itself, the
+        # threshold and n, and refuses before any other check
+        m = FnModel.from_map(tri_map(), 1)
+        message = ("needs n at or above the stability threshold 3; "
+                   "the model has n = 1")
+        with pytest.raises(DmlwbError) as exc:
+            m.require_stable(what)
+        assert str(exc.value) == f"{what} {message}"
+        with pytest.raises(DmlwbError) as exc:
+            call(m)
+        assert str(exc.value) == f"{what} {message}"
+        FnModel.from_map(tri_map(), 3).require_stable(what)
 
     def test_below_threshold_still_acts_on_affine_points(self):
         m = FnModel.from_map(tri_map(), 1)

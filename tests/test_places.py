@@ -6,10 +6,15 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmlwb.arith import factorize, is_prime
+from dmlwb.arith import (
+    VALUATION_STEPS,
+    factorize,
+    is_prime,
+    valuation,
+)
 from dmlwb.dml import height_growth_probe
 from dmlwb.errors import ResourceCapError
 from dmlwb.maps import PolyMap, point
@@ -57,6 +62,44 @@ class TestArith:
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+    @example(101 * 103, 3, 2)
+    @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=3))
+    def test_factorize_powers_of_composites(self, r, k, c):
+        # the perfect-power step splits r^k however r factors
+        want = {p: e * k for p, e in factorize(r).items()}
+        for p, e in factorize(c).items():
+            want[p] = want.get(p, 0) + e
+        assert factorize(c * r**k) == dict(sorted(want.items()))
+
+    @given(st.integers(min_value=-10**30, max_value=10**30).filter(bool),
+           st.sampled_from([2, 3, 5, 7, 101, 2**61 - 1]),
+           st.integers(min_value=0, max_value=4 * VALUATION_STEPS + 40))
+    def test_valuation_equals_the_loop(self, u, q, v):
+        n = u * q**v
+        want = 0
+        while n % q == 0:
+            n //= q
+            want += 1
+        assert valuation(u * q**v, q) == want
+
+    @settings(max_examples=10)
+    @given(st.integers(min_value=249990, max_value=250010))
+    def test_valuation_is_fast_on_large_exponents(self, v):
+        # runs under the default deadline: O(log v) divisions, not v
+        assert valuation(3 * 2**v, 2) == v
+
+    @given(st.integers(min_value=2**39, max_value=2**40), st.integers(min_value=2, max_value=4),
+           st.sampled_from([1, 2, 6, 35]))
+    def test_factorize_perfect_powers(self, start, k, c):
+        # Pollard-Brent alone needs about sqrt(p) steps on p^k
+        p = start
+        while not is_prime(p):
+            p += 1
+        want = dict(factorize(c))
+        want[p] = k
+        assert factorize(c * p**k) == want
 
 
 class TestPlace:
