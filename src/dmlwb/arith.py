@@ -14,9 +14,6 @@ _SMALL_PRIMES = [
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 _MR_PROVEN_BOUND = 3317044064679887385961981
 
-# single divisions by q before valuation divides by q^(2^i) instead
-VALUATION_STEPS = 16
-
 
 def _strip(n: int, q: int) -> tuple[int, int]:
     """(v, n / q^v) for the exponent v of q in n.  n / q is searched for
@@ -31,13 +28,7 @@ def _strip(n: int, q: int) -> tuple[int, int]:
 
 def valuation(n: int, q: int) -> int:
     """Exponent of the prime q in the nonzero integer n."""
-    v = 0
-    while n % q == 0:
-        if v == VALUATION_STEPS:
-            return v + _strip(n, q)[0]
-        n //= q
-        v += 1
-    return v
+    return _strip(n, q)[0]
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:

@@ -273,10 +273,6 @@ def _cmd_fn_model(args) -> tuple[dict, dict, list[str]]:
         "components": components,
         "map": map_to_json_dict(f),
     }
-    summary = [
-        f"model on F_{model.n} (threshold {model.threshold}, "
-        f"{'stable' if model.is_stable else 'NOT stable'})",
-    ]
     if model.is_stable:
         info = indeterminacy_fn(model)
         result["indeterminacy"] = {
@@ -284,13 +280,25 @@ def _cmd_fn_model(args) -> tuple[dict, dict, list[str]]:
             "point": "[1, 0, 0, 1]",
         }
         result["contraction_check"] = contracted_image_check(model)
-        summary.append(f"indeterminacy locus: {info.description}")
-        summary.append("fiber at infinity contracts to [1, 0, 1, 0]: "
-                       f"{result['contraction_check']}")
     else:
-        result["indeterminacy"] = result["contraction_check"] = None
+        result["indeterminacy"] = None
+        result["contraction_check"] = None
+    config = _config(args, "map", "n")
+    summary = [
+        f"model on F_{model.n} (threshold {model.threshold}, "
+        f"{'stable' if model.is_stable else 'NOT stable'})",
+    ]
+    if model.is_stable:
+        summary.append(
+            "indeterminacy locus: " + result["indeterminacy"]["description"]
+        )
+        summary.append(
+            "fiber at infinity contracts to [1, 0, 1, 0]: "
+            + str(result["contraction_check"])
+        )
+    else:
         summary.append("below threshold: indeterminacy is not a single point")
-    return _config(args, "map", "n"), result, summary
+    return config, result, summary
 
 
 def _cmd_curve_period(args) -> tuple[dict, dict, list[str]]:

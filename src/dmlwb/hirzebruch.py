@@ -111,7 +111,9 @@ def _homogenize(P: Poly2, total: int) -> Poly2:
 
     The result reads (x, y) as (x1, x2): sum of p_i * x1^i * x2^(total-i).
     """
-    return Poly2.from_terms({(i, total - i): c for (i, _), c in P.terms()})
+    return Poly2.from_terms(
+        {(i, total - i): c for (i, _), c in P.terms()}
+    )
 
 
 def triangular_parts(f: PolyMap) -> tuple[Fraction, Fraction, Poly2, Poly2]:
@@ -129,7 +131,9 @@ def triangular_parts(f: PolyMap) -> tuple[Fraction, Fraction, Poly2, Poly2]:
     if f2.deg_y() != 1:
         raise NotTriangularError("second component must be A(x)*y + B(x)")
     parts = y_coefficients(f2)
-    return a, b, parts[1], parts.get(0, Poly2.zero())
+    A = parts[1]
+    B = parts.get(0, Poly2.zero())
+    return a, b, A, B
 
 
 class FnModel:
@@ -140,18 +144,21 @@ class FnModel:
     def __init__(self, a, b, A: Poly2, B: Poly2, n: int):
         if n < 0:
             raise ValueError("F_n needs n >= 0")
-        a, b = as_fraction(a), as_fraction(b)
+        a = as_fraction(a)
+        b = as_fraction(b)
         if a == 0:
             raise ValueError("triangular maps need a != 0")
-        self.threshold = stability_threshold(A, B)
+        threshold = stability_threshold(A, B)
         deg_a = int(A.total_degree())
-        d = deg_a if B.is_zero else max(deg_a, int(B.total_degree()) - n)
+        deg_b = int(B.total_degree()) if not B.is_zero else None
+        d = deg_a if deg_b is None else max(deg_a, deg_b - n)
         self.n = n
         self.a = a
         self.b = b
         self.A = A
         self.B = B
         self.d = d
+        self.threshold = threshold
         # Ah, Bh read Poly2 variables (x, y) as (x1, x2)
         self.Ah = _homogenize(A, d)
         self.Bh = _homogenize(B, d + n)
@@ -189,7 +196,8 @@ class FnModel:
     def affine_map(self) -> PolyMap:
         """The plane map (a*x + b, A(x)*y + B(x)) with its verified inverse."""
         f = self.plane_map()
-        x, y = Poly2.variable("x"), Poly2.variable("y")
+        x = Poly2.variable("x")
+        y = Poly2.variable("y")
         g1 = RatFunc((x - self.b) * (1 / self.a), Poly2.one())
         a_of_g = RatFunc.from_poly(self.A).substitute(g1, g1)
         b_of_g = RatFunc.from_poly(self.B).substitute(g1, g1)

@@ -82,8 +82,9 @@ class MetricSample:
     def to_json_dict(self, place: Place) -> dict:
         """JSON form; the distance is a float at the archimedean place, an
         exact string at a prime, and None (JSON null) when there is none to
-        show: the point is outside the chart, or the distance is too large
-        for a float or for the int-to-str digit limit."""
+        show: the point is outside the chart, the distance is past the float
+        range, or its numerator or denominator has more digits than the
+        interpreter's int-to-str limit (a tiny p-adic distance too)."""
         d = self.distance
         if d is not None:
             try:

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmlwb import curves
@@ -330,20 +330,18 @@ class TestClosures:
         assert not closure_meets_indeterminacy(curve("y - x^4"), 3)
         assert not closure_meets_indeterminacy(curve("x - 5"), 3)
 
-    def test_chart_and_membership_consistent(self):
-        # through-Q test equals vanishing of the chart equation at the origin
-        for text, n in [("y - x^4", 3), ("y - x^2", 3), ("x*y - 1", 1)]:
-            c = curve(text)
-            eq = fn_chart_equation(c, n)
-            assert closure_passes_through_Q(c, n) == (eq.evaluate(0, 0) == 0)
-
     @settings(max_examples=100)
+    @example({(0, 1): 1, (4, 0): -1}, 3)  # y - x^4
+    @example({(0, 1): 1, (2, 0): -1}, 3)  # y - x^2
+    @example({(1, 1): 1, (0, 0): -1}, 1)  # x*y - 1
     @given(st.dictionaries(
         st.tuples(st.integers(0, 4), st.integers(0, 3)),
         st.integers(-3, 3).filter(bool), min_size=1, max_size=5,
     ).filter(lambda t: any(k != (0, 0) for k in t)), st.integers(0, 5))
-    def test_through_Q_equals_the_chart_value_at_the_origin(self, terms, n):
-        # the definition before closure_passes_through_Q read one coefficient
+    def test_chart_and_membership_consistent(self, terms, n):
+        # through-Q test equals vanishing of the chart equation at the
+        # origin, the definition before closure_passes_through_Q read
+        # one coefficient
         C = Curve(Poly2.from_terms(terms))
         assert closure_passes_through_Q(C, n) == (
             fn_chart_equation(C, n).evaluate(0, 0) == 0

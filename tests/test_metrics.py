@@ -1,6 +1,7 @@
 """Place-by-place projective metrics, basin probes, local dichotomy checks."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,36 @@ class TestBasinProbe:
         assert set(d) == {"verdict", "at", "place", "eps", "samples", "notes"}
         assert d["place"] == "inf"
         assert isinstance(d["samples"], list)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter has no int-to-str digit limit")
+    @pytest.mark.parametrize("limit", [4300, 0])
+    def test_tiny_distance_past_the_digit_limit(self, limit):
+        # x is divided by 2^1500 each step, so the 2-adic distance to Q
+        # falls to 2^-e with e past 14,300 bits (4,300 digits) before the
+        # probe certifies convergence; limit 0 switches the limit off
+        f = PolyMap(parse_poly("x/2^1500"), parse_poly("x*y"))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            rep = basin_probe(FnModel.from_map(f, 3), point(1, 1), None,
+                              Place.finite(2), 50)
+            d = rep.to_json_dict()
+            last_text = None if limit else str(rep.samples[-1].distance)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert d["verdict"] == "converged_at" and d["at"] == 12
+        last = rep.samples[-1].distance
+        assert last.numerator == 1 and last.denominator.bit_length() > 14300
+        written = [s["distance"] for s in d["samples"]]
+        assert [s["below_epsilon"] for s in d["samples"]] == [
+            s.below_epsilon for s in rep.samples
+        ]
+        if limit:
+            assert written[-1] is None and d["samples"][-1]["below_epsilon"]
+            assert isinstance(written[8], str)
+        else:
+            assert written[-1] == last_text
 
     def test_guard_truncated_orbit_ends_the_samples(self):
         # x doubles and y grows like x^3*y, so 64 bits are passed within 50 steps
